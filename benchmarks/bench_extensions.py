@@ -13,6 +13,7 @@ import pytest
 from repro.core.batch import apply_edge_insertions_batch
 from repro.core.construction import build_hcl
 from repro.core.construction_fast import build_hcl_fast
+from repro.core.decremental import apply_edge_deletion
 from repro.core.dynamic import DynamicHCL
 from repro.workloads.datasets import build_dataset
 from repro.workloads.streams import mixed_stream, replay
@@ -73,7 +74,10 @@ def test_a5_decremental_strategy(benchmark, profile, dataset, strategy):
     def run_deletions():
         oracle = DynamicHCL.build(graph.copy(), num_landmarks=spec.num_landmarks)
         for u, v in deletions:
-            oracle.remove_edge(u, v, strategy=strategy)
+            if strategy == "partial":
+                oracle.remove_edge(u, v)
+            else:
+                apply_edge_deletion(oracle.graph, oracle.labelling, u, v)
         return oracle
 
     benchmark.pedantic(run_deletions, rounds=1, iterations=1)

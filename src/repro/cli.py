@@ -570,8 +570,7 @@ def format_top(stats: dict) -> str:
     lines.append(
         f"events    applied={stats.get('events_applied', 0):,} "
         f"rejected={stats.get('events_rejected', 0):,} "
-        f"batches(insert={stats.get('insert_batches', 0):,} "
-        f"mixed={stats.get('mixed_batches', 0):,}) "
+        f"batches={stats.get('batches', 0):,} "
         f"snapshots={stats.get('snapshots_published', 0):,}"
     )
     lines.append(f"queries   {_fmt_summary(stats.get('queries'))}")

@@ -5,8 +5,8 @@ semantics (:class:`ReplicaServer`):
 
 * **`apply`** — the router's fan-out op: a batch of ``(seq, kind, u, v)``
   log records, applied through the single-writer
-  :class:`~repro.serving.service.OracleService` (runs of consecutive
-  insertions coalesce into one vectorized batch sweep, ``fast=True``) and
+  :class:`~repro.serving.service.OracleService` (each drained chunk of
+  inserts and deletes applies as one vectorized batch sweep) and
   acknowledged only once applied *and* published — the router's
   ``acked_seq`` for a replica is therefore always a state the replica can
   serve.  Records at or below the replica's ``applied_seq`` are skipped
@@ -71,8 +71,6 @@ class ReplicaSpec:
     port: int = 0
     workers: int | None = None
     max_batch: int = 128
-    fast: bool = True
-    delete_strategy: str = "partial"
     #: Landmark sharding: with ``num_shards > 1`` the replica restricts
     #: the restored oracle to shard ``shard_index``'s owned landmarks
     #: (:mod:`repro.cluster.shards`) before serving.  The checkpoint may
@@ -279,13 +277,8 @@ def build_replica(spec: ReplicaSpec) -> ReplicaServer:
         )
         shard_meta = {**plan.to_meta(), "shard_index": spec.shard_index}
     oracle.workers = spec.workers
-    oracle.fast_updates = spec.fast
     service = OracleService(
-        oracle,
-        workers=spec.workers,
-        max_batch=spec.max_batch,
-        fast=spec.fast,
-        delete_strategy=spec.delete_strategy,
+        oracle, workers=spec.workers, max_batch=spec.max_batch
     )
     if spec.wal_dir:
         records = scan_wal(spec.wal_dir, start_seq=applied + 1)

@@ -770,8 +770,7 @@ class ClusterRouter(LineServer):
             ),
             "events_applied": sum(s.get("events_applied", 0) for s in service_stats),
             "events_rejected": sum(s.get("events_rejected", 0) for s in service_stats),
-            "insert_batches": sum(s.get("insert_batches", 0) for s in service_stats),
-            "mixed_batches": sum(s.get("mixed_batches", 0) for s in service_stats),
+            "batches": sum(s.get("batches", 0) for s in service_stats),
             "snapshots_published": sum(
                 s.get("snapshots_published", 0) for s in service_stats
             ),

@@ -157,7 +157,6 @@ class ClusterSupervisor:
         port: int = 8360,
         workers: int | None = None,
         max_batch: int = 128,
-        fast: bool = True,
         fsync: str = "batch",
         health_interval: float = 0.5,
         restart: bool = True,
@@ -181,7 +180,6 @@ class ClusterSupervisor:
         self._port = port
         self._workers = workers
         self._max_batch = max_batch
-        self._fast = fast
         self._fsync = fsync
         self._health_interval = health_interval
         self._restart = restart
@@ -366,7 +364,6 @@ class ClusterSupervisor:
             port=0,
             workers=self._workers,
             max_batch=self._max_batch,
-            fast=self._fast,
             shard_index=shard,
             num_shards=self._shards,
         )

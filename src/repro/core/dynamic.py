@@ -11,12 +11,13 @@ extensions:
 * :meth:`DynamicHCL.insert_edges_batch` — one find/repair sweep per
   landmark for a whole burst of insertions (:mod:`repro.core.batch`);
 * :meth:`DynamicHCL.remove_edge` / :meth:`DynamicHCL.remove_vertex` — the
-  decremental extension (paper's future work), either fine-grained DecHL
-  (:mod:`repro.core.dechl`) or the coarse per-landmark rebuild
-  (:mod:`repro.core.decremental`);
+  decremental extension (paper's future work), fine-grained DecHL
+  (:mod:`repro.core.dechl`);
 * :meth:`DynamicHCL.remove_edges_batch` / :meth:`DynamicHCL.apply_events_batch`
   — fully-dynamic mixed insert/delete batches, one BatchHL-style combined
-  sweep per landmark on the fast route (``docs/DESIGN.md`` §10);
+  sweep per landmark on the fast route (``docs/DESIGN.md`` §10), judged
+  by :func:`validate_events` — the one event validator, which the
+  serving writer shares;
 * :meth:`DynamicHCL.add_landmark` / :meth:`DynamicHCL.remove_landmark` —
   online landmark-set resizing (:mod:`repro.landmarks.maintenance`);
 * :meth:`DynamicHCL.shortest_path` — path extraction on top of the
@@ -25,7 +26,7 @@ extensions:
 Queries are answered exactly at any point between updates.
 
 The ``workers`` knob routes every bulk operation — construction, batch
-insertion, coarse decremental rebuild — through the parallel per-landmark
+insertion, mixed batches — through the parallel per-landmark
 engine (:mod:`repro.parallel`); results are identical for any worker
 count.
 
@@ -37,8 +38,8 @@ vectorized CSR update engine of :mod:`repro.core.inchl_fast`; the
 labelling it produces is byte-identical to the sequential
 implementation's for every event kind.  The engine is cached across fast
 updates — including deletions — and transparently rebuilt after any
-other mutation (landmark maintenance, vertex removal, rebuild-strategy
-deletions).
+other mutation (landmark maintenance, vertex removal, reference-route
+updates).
 """
 
 from __future__ import annotations
@@ -55,11 +56,60 @@ from repro.core.query import (
     query_distances_many,
     upper_bound,
 )
-from repro.exceptions import GraphError
+from repro.exceptions import EdgeNotFoundError, GraphError
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.landmarks.selection import select_landmarks
 
-__all__ = ["DynamicHCL"]
+__all__ = ["DynamicHCL", "validate_events"]
+
+
+def validate_events(graph: DynamicGraph, events) -> tuple[list, list]:
+    """Judge an insert/delete batch with sequential semantics.
+
+    ``events`` holds :class:`~repro.workloads.streams.UpdateEvent` objects
+    or plain ``(kind, (u, v))`` pairs.  Each event is judged against the
+    edge state its *accepted* predecessors produce, so deleting an edge
+    inserted earlier in the batch is valid and a duplicate insert or an
+    absent-edge delete is not.  Vertex ids must be non-negative, non-bool
+    integers; self-loops are rejected; an insert may name a vertex the
+    graph does not have yet (the paper's vertex insertion).  Nothing is
+    mutated.
+
+    Returns ``(accepted, rejects)``: the accepted events as
+    ``(kind, (u, v))`` pairs in order, and ``(event, reason)`` for every
+    reject.
+    """
+    accepted: list[tuple[str, tuple[int, int]]] = []
+    rejects: list[tuple[object, str]] = []
+    state: dict[tuple[int, int], bool] = {}
+    for event in events:
+        kind, (u, v) = (
+            (event.kind, event.edge) if hasattr(event, "kind") else event
+        )
+        if kind not in ("insert", "delete"):
+            rejects.append((event, f"unknown event kind {kind!r}"))
+            continue
+        if not all(
+            isinstance(x, int) and not isinstance(x, bool) and x >= 0
+            for x in (u, v)
+        ):
+            rejects.append((event, f"invalid vertex id in ({u!r}, {v!r})"))
+            continue
+        if u == v:
+            rejects.append((event, f"self-loop ({u}, {v})"))
+            continue
+        key = (u, v) if u < v else (v, u)
+        present = state.get(key)
+        if present is None:
+            present = graph.has_edge(u, v)
+        if kind == "insert" and present:
+            rejects.append((event, f"insert of already-present edge ({u}, {v})"))
+        elif kind == "delete" and not present:
+            rejects.append((event, f"delete of absent edge ({u}, {v})"))
+        else:
+            state[key] = kind == "insert"
+            accepted.append((kind, (u, v)))
+    return accepted, rejects
 
 
 class DynamicHCL:
@@ -453,60 +503,30 @@ class DynamicHCL:
             workers=self.workers if workers is None else workers,
         )
 
-    def remove_edge(
-        self,
-        u: int,
-        v: int,
-        strategy: str = "partial",
-        workers: int | None = None,
-        fast: bool | None = None,
-    ):
+    def remove_edge(self, u: int, v: int, fast: bool | None = None):
         """Decremental update (the paper's stated future work).
 
         ``fast`` selects the update route (default: the oracle's
-        ``fast_updates``): when true (and ``strategy`` is the default
-        ``"partial"``) the deletion runs on the vectorized mixed-batch
-        engine (:meth:`repro.core.inchl_fast.FastUpdateEngine.remove_edge`)
-        — byte-identical labelling, dense rows kept valid, no engine
-        invalidation.  Otherwise ``strategy="partial"`` runs the
-        fine-grained DecHL of :mod:`repro.core.dechl`, confining work to
-        the affected region, and ``strategy="rebuild"`` runs the coarse
-        per-relevant-landmark rebuild of :mod:`repro.core.decremental`,
-        whose rebuild sweeps ``workers`` (default: the oracle's worker
-        count) fan out across a process pool.  All routes preserve exact
-        minimality; they differ only in cost profile.
+        ``fast_updates``): the vectorized mixed-batch engine
+        (:meth:`repro.core.inchl_fast.FastUpdateEngine.remove_edge`) —
+        byte-identical labelling, dense rows kept valid, no engine
+        invalidation — or the fine-grained DecHL of
+        :mod:`repro.core.dechl`, which confines work to the affected
+        region.  An absent edge raises :class:`EdgeNotFoundError` on
+        either route, before anything changes.
         """
-        fast = self._route_fast(fast)
-        if self._owned is not None:
-            strategy = "partial"  # shards have no rebuild route
-        if strategy == "partial":
-            if fast:
-                engine = self._resolve_fast_engine()
-                self._graph.remove_edge(u, v)
-                self._version += 1
-                return engine.remove_edge(u, v)
-            from repro.core.dechl import apply_edge_deletion_partial
-
-            self._invalidate_fast()
-
+        if not self._graph.has_edge(u, v):
+            raise EdgeNotFoundError(u, v)
+        if self._route_fast(fast):
+            engine = self._resolve_fast_engine()
+            self._graph.remove_edge(u, v)
             self._version += 1
-            return apply_edge_deletion_partial(self._graph, self._labelling, u, v)
-        if strategy == "rebuild":
-            from repro.core.decremental import apply_edge_deletion
+            return engine.remove_edge(u, v)
+        from repro.core.dechl import apply_edge_deletion_partial
 
-            self._invalidate_fast()
-
-            self._version += 1
-            return apply_edge_deletion(
-                self._graph,
-                self._labelling,
-                u,
-                v,
-                workers=self.workers if workers is None else workers,
-            )
-        raise GraphError(
-            f"unknown deletion strategy {strategy!r}; use 'partial' or 'rebuild'"
-        )
+        self._invalidate_fast()
+        self._version += 1
+        return apply_edge_deletion_partial(self._graph, self._labelling, u, v)
 
     def remove_edges_batch(
         self,
@@ -538,13 +558,13 @@ class DynamicHCL:
 
         ``events`` is a sequence of
         :class:`~repro.workloads.streams.UpdateEvent` (or plain
-        ``(kind, (u, v))`` pairs) applied *as if sequentially*: every
-        event is validated against the graph state its predecessors
-        produce, and :attr:`version` advances by ``len(events)`` — the
-        same epochs a one-at-a-time replay would stamp.  Invalid
-        transitions (inserting a present edge, deleting an absent one,
-        self-loops, unknown endpoints) raise :class:`GraphError` before
-        anything is mutated.
+        ``(kind, (u, v))`` pairs) applied *as if sequentially*:
+        :func:`validate_events` judges every event against the graph
+        state its predecessors produce, the first invalid one raises
+        :class:`GraphError` before anything is mutated, and
+        :attr:`version` advances by ``len(events)`` — the same epochs a
+        one-at-a-time replay would stamp.  Endpoints of inserts that the
+        graph does not have yet are registered as new vertices.
 
         On the fast route the batch is first collapsed to its *net* edge
         sets — an insert-then-delete (or delete-then-reinsert) pair
@@ -558,41 +578,23 @@ class DynamicHCL:
 
         fast = self._route_fast(fast)
         graph = self._graph
-        normalized: list[tuple[str, int, int]] = []
+        accepted, rejects = validate_events(graph, events)
+        if rejects:
+            event, reason = rejects[0]
+            raise GraphError(f"invalid event {event!r}: {reason}")
         state: dict[tuple[int, int], bool] = {}
-        for event in events:
-            kind, edge = (
-                (event.kind, event.edge) if hasattr(event, "kind") else event
-            )
-            u, v = int(edge[0]), int(edge[1])
-            key = (u, v) if u <= v else (v, u)
-            present = state.get(key)
-            if present is None:
-                present = graph.has_edge(u, v) if u in graph and v in graph else False
+        for kind, (u, v) in accepted:
             if kind == "insert":
-                if u == v:
-                    raise GraphError(f"self-loop insert ({u}, {v}) in event batch")
-                if u not in graph or v not in graph:
-                    raise GraphError(
-                        f"insert ({u}, {v}) references an unknown vertex"
-                    )
-                if present:
-                    raise GraphError(f"insert of already-present edge ({u}, {v})")
-                state[key] = True
-            elif kind == "delete":
-                if not present:
-                    raise GraphError(f"delete of absent edge ({u}, {v})")
-                state[key] = False
-            else:
-                raise GraphError(f"unknown event kind {kind!r}")
-            normalized.append((kind, u, v))
+                graph.add_vertex(u)
+                graph.add_vertex(v)
+            state[(u, v) if u < v else (v, u)] = kind == "insert"
         if fast:
             net_inserts: list[tuple[int, int]] = []
             net_deletes: list[tuple[int, int]] = []
             for key, final in state.items():
                 if final != graph.has_edge(*key):
                     (net_inserts if final else net_deletes).append(key)
-            self._version += len(normalized)
+            self._version += len(accepted)
             if not net_inserts and not net_deletes:
                 return MixedUpdateStats([], [])
             engine = self._resolve_fast_engine()
@@ -608,11 +610,11 @@ class DynamicHCL:
         from repro.core.dechl import apply_edge_deletion_partial
 
         self._invalidate_fast()
-        inserts = [(u, v) for kind, u, v in normalized if kind == "insert"]
-        deletes = [(u, v) for kind, u, v in normalized if kind == "delete"]
+        inserts = [edge for kind, edge in accepted if kind == "insert"]
+        deletes = [edge for kind, edge in accepted if kind == "delete"]
         stats = MixedUpdateStats(inserts, deletes)
         union_total = 0
-        for kind, u, v in normalized:
+        for kind, (u, v) in accepted:
             if kind == "insert":
                 graph.add_edge(u, v)
                 step = apply_edge_insertion(graph, self._labelling, u, v)
@@ -628,7 +630,7 @@ class DynamicHCL:
             stats.entries_removed += step.entries_removed
             stats.highway_updates += step.highway_updates
         stats.affected_union = union_total
-        self._version += len(normalized)
+        self._version += len(accepted)
         return stats
 
     def remove_vertex(self, v: int) -> None:

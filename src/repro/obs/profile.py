@@ -85,10 +85,8 @@ PHASE_MARKERS: dict[str, str] = {
     "apply_events_batch": "apply",
     "insert_edges_batch": "apply",
     "apply_mixed": "apply",
-    "_apply_insert_run": "apply",
     # writer-side coalescing (validation/dedup around the engine call)
     "_apply_chunk": "coalesce",
-    "_apply_chunk_mixed": "coalesce",
     # snapshot publication
     "_publish": "publish",
     "freeze": "publish",

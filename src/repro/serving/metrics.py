@@ -251,8 +251,7 @@ class ServiceMetrics:
         self._lock = threading.Lock()
         self.events_applied = 0
         self.events_rejected = 0
-        self.insert_batches = 0
-        self.mixed_batches = 0
+        self.batches = 0
         self.snapshots_published = 0
         #: Per-phase batch timings in seconds (mergeable histograms).
         self.phase_hists: dict[str, Histogram] = {
@@ -269,13 +268,9 @@ class ServiceMetrics:
         with self._lock:
             self.events_rejected += n
 
-    def count_insert_batch(self) -> None:
+    def count_batch(self) -> None:
         with self._lock:
-            self.insert_batches += 1
-
-    def count_mixed_batch(self) -> None:
-        with self._lock:
-            self.mixed_batches += 1
+            self.batches += 1
 
     def count_snapshot(self) -> None:
         with self._lock:
@@ -305,8 +300,7 @@ class ServiceMetrics:
             return {
                 "events_applied": self.events_applied,
                 "events_rejected": self.events_rejected,
-                "insert_batches": self.insert_batches,
-                "mixed_batches": self.mixed_batches,
+                "batches": self.batches,
                 "snapshots_published": self.snapshots_published,
             }
 

@@ -642,8 +642,7 @@ class OracleServer(LineServer):
             for key, help in (
                 ("events_applied", "Update events applied."),
                 ("events_rejected", "Update events rejected."),
-                ("insert_batches", "Coalesced insert-run batch applies."),
-                ("mixed_batches", "Coalesced mixed insert/delete applies."),
+                ("batches", "Writer chunk batch applies."),
                 ("snapshots_published", "Snapshots published."),
             )
         }

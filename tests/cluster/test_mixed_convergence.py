@@ -134,7 +134,7 @@ def test_replica_applies_mixed_batch_as_one_coalesced_run(small_oracle):
         [UpdateEvent(k, (u, v)) for k, u, v in events],
     )
     assert server.service.oracle.labelling == reference.labelling
-    assert server.service.metrics.mixed_batches >= 1
+    assert server.service.metrics.batches >= 1
 
 
 def test_crash_mid_mixed_batch_then_restart_converges(tmp_path):

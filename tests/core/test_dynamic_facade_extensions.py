@@ -4,9 +4,10 @@ landmark maintenance, paths, fast construction)."""
 import pytest
 
 from repro.core.construction import build_hcl
+from repro.core.decremental import apply_edge_deletion
 from repro.core.dynamic import DynamicHCL
 from repro.core.validation import check_matches_rebuild
-from repro.exceptions import GraphError, LabellingError
+from repro.exceptions import EdgeNotFoundError, LabellingError
 from repro.graph.generators import grid_graph
 
 from tests.conftest import non_edges, random_connected_graph
@@ -65,25 +66,32 @@ class TestRemoveEdge:
     def test_rebuild_strategy(self):
         oracle = make_oracle(seed=72)
         edge = next(iter(oracle.graph.edges()))
-        oracle.remove_edge(*edge, strategy="rebuild")
+        apply_edge_deletion(oracle.graph, oracle.labelling, *edge)
         check_matches_rebuild(oracle.graph, oracle.labelling)
 
     def test_strategies_agree(self):
+        """DecHL through the facade and the coarse per-landmark rebuild
+        end on the same labelling."""
         seed = 73
         partial = make_oracle(seed)
-        rebuild = DynamicHCL(
-            partial.graph.copy(), build_hcl(partial.graph, partial.landmarks)
-        )
+        graph = partial.graph.copy()
+        rebuilt = build_hcl(graph, partial.landmarks)
         edge = sorted(partial.graph.edges())[0]
-        partial.remove_edge(*edge, strategy="partial")
-        rebuild.remove_edge(*edge, strategy="rebuild")
-        assert partial.labelling == rebuild.labelling
+        partial.remove_edge(*edge)
+        apply_edge_deletion(graph, rebuilt, *edge)
+        assert partial.labelling == rebuilt
 
-    def test_unknown_strategy_rejected(self):
-        oracle = make_oracle(seed=74)
-        edge = next(iter(oracle.graph.edges()))
-        with pytest.raises(GraphError):
-            oracle.remove_edge(*edge, strategy="magic")
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_absent_edge_raises_without_version_bump(self, fast):
+        oracle = DynamicHCL.build(grid_graph(3, 3), landmarks=[4])
+        labelling = build_hcl(oracle.graph, [4])
+        with pytest.raises(EdgeNotFoundError):
+            oracle.remove_edge(0, 8, fast=fast)
+        with pytest.raises(EdgeNotFoundError):
+            oracle.remove_edge(0, 99, fast=fast)  # unknown endpoint
+        assert oracle.version == 0
+        assert oracle.graph.num_edges == 12
+        assert oracle.labelling == labelling
 
 
 class TestRemoveVertex:

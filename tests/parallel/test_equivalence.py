@@ -194,7 +194,7 @@ class TestOracleWorkersKnob:
         reference.insert_edges_batch([(0, 15), (3, 12)])
         assert oracle.labelling == reference.labelling
 
-        oracle.remove_edge(0, 15, strategy="rebuild")
-        reference.remove_edge(0, 15, strategy="rebuild")
+        apply_edge_deletion(oracle.graph, oracle.labelling, 0, 15, workers=workers)
+        apply_edge_deletion(reference.graph, reference.labelling, 0, 15)
         assert oracle.labelling == reference.labelling
         check_query_exactness(oracle.graph, oracle.labelling, num_pairs=40)

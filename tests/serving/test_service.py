@@ -14,6 +14,8 @@ from __future__ import annotations
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dynamic import DynamicHCL
 from repro.exceptions import ServingError
@@ -114,13 +116,13 @@ def test_insert_runs_are_batched():
     events = [UpdateEvent("insert", e)
               for e in [(0, 5), (1, 6), (2, 7), (3, 8), (9, 14)]]
     # Queue everything before the writer starts: the first drain must then
-    # coalesce the whole insert run into one insert_edges_batch sweep.
+    # coalesce the whole insert run into one apply_events_batch sweep.
     service.submit_many(events)
     with service:
         service.flush()
         stats = service.stats()
     assert stats["events_applied"] == len(events)
-    assert stats["insert_batches"] == 1
+    assert stats["batches"] == 1
 
 
 def test_mixed_chunk_coalesces_into_one_batch():
@@ -152,8 +154,7 @@ def test_mixed_chunk_coalesces_into_one_batch():
         stats = service.stats()
     assert stats["events_applied"] == len(events)
     assert stats["events_rejected"] == 0
-    assert stats["mixed_batches"] == 1
-    assert stats["insert_batches"] == 0
+    assert stats["batches"] == 1
     assert oracle.labelling == reference.labelling
     table = bfs_distances(oracle.graph, 0)
     for v in oracle.graph.vertices():
@@ -210,7 +211,7 @@ def test_mixed_chunk_rejects_without_side_effects():
         stats = service.stats()
     assert stats["events_applied"] == 2
     assert stats["events_rejected"] == 5
-    assert stats["mixed_batches"] == 1
+    assert stats["batches"] == 1
     assert oracle.graph.num_vertices == before_vertices
     assert not oracle.graph.has_vertex(50)
     table = bfs_distances(oracle.graph, 4)
@@ -247,26 +248,81 @@ def test_chunk_boundary_epochs_advance_by_accepted_events():
     assert stats["events_rejected"] == 2
 
 
-def test_mixed_chunk_slow_route_matches_fast():
-    """``fast=False`` services keep the legacy per-event delete loop; the
-    final labelling must still match the fast service byte for byte."""
-    graph = random_connected_graph(17, n_min=14, n_max=22)
-    events = mixed_stream(graph, 24, rng=5)
-    oracle_fast = DynamicHCL.build(graph.copy(), num_landmarks=3)
-    landmarks = list(oracle_fast.landmarks)
-    oracle_slow = DynamicHCL.build(graph.copy(), landmarks=landmarks)
-    with OracleService(oracle_fast, max_batch=8, fast=True) as fast_svc:
-        fast_svc.submit_many(events)
-        fast_svc.flush()
-        fast_stats = fast_svc.stats()
-    with OracleService(oracle_slow, max_batch=8, fast=False) as slow_svc:
-        slow_svc.submit_many(events)
-        slow_svc.flush()
-        slow_stats = slow_svc.stats()
-    assert fast_stats["events_applied"] == slow_stats["events_applied"]
-    assert slow_stats["mixed_batches"] == 0  # legacy loop, no coalescing
-    assert oracle_fast.labelling == oracle_slow.labelling
-    assert sorted(oracle_fast.graph.edges()) == sorted(oracle_slow.graph.edges())
+def _reference_accepts(graph, events) -> list[UpdateEvent]:
+    """The events a strictly sequential replay accepts, judged on a plain
+    edge-set simulation (independent of the service's validator)."""
+    edges = {frozenset(e) for e in graph.edges()}
+    accepted = []
+    for event in events:
+        u, v = event.edge
+        if any(isinstance(x, bool) or x < 0 for x in (u, v)) or u == v:
+            continue
+        edge = frozenset((u, v))
+        if event.is_insert == (edge in edges):
+            continue  # duplicate insert or absent-edge delete
+        (edges.add if event.is_insert else edges.discard)(edge)
+        accepted.append(event)
+    return accepted
+
+
+def _vertex_ids(n: int):
+    # Known vertices, brand-new ones (vertex insertion), negative and bool.
+    return st.one_of(
+        st.integers(0, n - 1), st.integers(n, n + 2),
+        st.integers(-3, -1), st.booleans(),
+    )
+
+
+@st.composite
+def _event_streams(draw, n: int):
+    events: list[UpdateEvent] = []
+    for _ in range(draw(st.integers(1, 24))):
+        u = draw(_vertex_ids(n))
+        v = draw(st.one_of(_vertex_ids(n), st.just(u)))  # self-loops too
+        kind = draw(st.sampled_from(["insert", "delete", "churn"]))
+        if kind == "churn":  # insert-then-delete inside one stream
+            events += [UpdateEvent("insert", (u, v)), UpdateEvent("delete", (u, v))]
+        else:
+            events.append(UpdateEvent(kind, (u, v)))
+    return events
+
+
+@pytest.mark.parametrize("max_batch", [1, 3, 16])
+@given(seed=st.integers(0, 200), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_writer_matches_reference_replay_of_accepted_events(max_batch, seed, data):
+    """Property: whatever a client streams (duplicates, absent deletes,
+    self-loops, bad ids, new vertices, in-chunk churn), the served
+    labelling equals a ``fast=False`` replay of the accepted events, every
+    event is either applied or rejected, and the epoch advances by
+    exactly the applied count."""
+    graph = random_connected_graph(seed, n_min=6, n_max=12)
+    events = data.draw(_event_streams(graph.num_vertices))
+    oracle = DynamicHCL.build(graph.copy(), num_landmarks=2)
+    base = oracle.version
+    reference = DynamicHCL.build(graph.copy(), landmarks=list(oracle.landmarks))
+    accepted = _reference_accepts(graph, events)
+    for event in accepted:
+        u, v = event.edge
+        if event.is_insert:
+            reference.graph.add_vertex(u)
+            reference.graph.add_vertex(v)
+            reference.insert_edge(u, v, fast=False)
+        else:
+            reference.remove_edge(u, v, fast=False)
+
+    service = OracleService(oracle, max_batch=max_batch)
+    service.submit_many(events)  # queued first: chunks of exactly max_batch
+    with service:
+        service.flush()
+        stats = service.stats()
+    assert service.degraded is None
+    assert stats["events_applied"] == len(accepted)
+    assert stats["events_applied"] + stats["events_rejected"] == len(events)
+    assert service.snapshot.epoch == base + stats["events_applied"]
+    assert oracle.labelling == reference.labelling
+    assert sorted(oracle.graph.edges()) == sorted(reference.graph.edges())
+    assert sorted(oracle.graph.vertices()) == sorted(reference.graph.vertices())
 
 
 def test_queries_served_while_stopped_writer():
@@ -352,13 +408,13 @@ def test_stop_without_drain_abandons_backlog():
     graph = grid_graph(6, 6)
     backlog = [UpdateEvent("insert", e) for e in non_edges(graph)[:20]]
     oracle = DynamicHCL.build(graph, landmarks=[0, 35])
-    real_insert = oracle.insert_edge
+    real_apply = oracle.apply_events_batch
 
-    def slow_insert(u, v):  # make each apply slow so the race is decided
+    def slow_apply(events, **kwargs):  # slow applies decide the race
         time.sleep(0.05)
-        return real_insert(u, v)
+        return real_apply(events, **kwargs)
 
-    oracle.insert_edge = slow_insert
+    oracle.apply_events_batch = slow_apply
     service = OracleService(oracle, max_batch=1)
     service.submit_many(backlog)
     service.start()
@@ -435,17 +491,15 @@ def test_mid_apply_failure_degrades_instead_of_publishing_desync():
     repair incomplete) the service must keep serving the last good
     snapshot, refuse further updates, and report itself degraded."""
     oracle = DynamicHCL.build(grid_graph(3, 3), landmarks=[4])
-    real_insert = oracle.insert_edge
-    calls = []
+    real_apply = oracle.apply_events_batch
 
-    def exploding_insert(u, v, fast=None):
-        calls.append((u, v))
-        if (u, v) == (2, 6):
-            oracle.graph.add_edge(u, v)  # mutate like the real thing...
+    def exploding_apply(events, **kwargs):
+        if ("insert", (2, 6)) in events:
+            oracle.graph.add_edge(2, 6)  # mutate like the real thing...
             raise RuntimeError("repair blew up")  # ...then fail mid-repair
-        return real_insert(u, v, fast=fast)
+        return real_apply(events, **kwargs)
 
-    oracle.insert_edge = exploding_insert
+    oracle.apply_events_batch = exploding_apply
     service = OracleService(oracle, max_batch=1)
     with service:
         service.submit(UpdateEvent("insert", (0, 8)))

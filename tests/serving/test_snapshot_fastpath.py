@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.dynamic import DynamicHCL
 from repro.graph.traversal import bfs_distances
-from repro.landmarks.selection import top_degree_landmarks
 from repro.serving.service import OracleService
 from repro.workloads.streams import UpdateEvent
 
@@ -123,7 +122,7 @@ class TestWriterInterleaving:
                         stop.set()
                         return
 
-        service = OracleService(oracle, max_batch=32, fast=True)
+        service = OracleService(oracle, max_batch=32)
         with service:
             threads = [threading.Thread(target=reader) for _ in range(3)]
             for t in threads:
@@ -135,7 +134,7 @@ class TestWriterInterleaving:
             for t in threads:
                 t.join()
         assert not errors, errors[:3]
-        assert service.metrics.stats()["insert_batches"] >= 1
+        assert service.metrics.stats()["batches"] >= 1
         # final state is exact too
         final = oracle.snapshot()
         verts = sorted(graph.vertices())
@@ -143,20 +142,3 @@ class TestWriterInterleaving:
         ref = bfs_distances(graph, u)
         for v in verts[1:10]:
             assert final.query(u, v) == ref.get(v, float("inf"))
-
-    def test_fast_and_slow_writer_runs_publish_identical_labellings(self):
-        graph_fast = random_connected_graph(46, n_min=12, n_max=18)
-        graph_slow = graph_fast.copy()
-        landmarks = top_degree_landmarks(graph_fast, 3)
-        stream = insertion_stream(graph_fast, 40, random.Random(4242))
-        events = [UpdateEvent("insert", e) for e in stream]
-
-        oracle_fast = DynamicHCL.build(graph_fast, landmarks=landmarks)
-        with OracleService(oracle_fast, fast=True) as service:
-            service.submit_many(events)
-            service.flush()
-        oracle_slow = DynamicHCL.build(graph_slow, landmarks=landmarks)
-        with OracleService(oracle_slow, fast=False) as service:
-            service.submit_many(events)
-            service.flush()
-        assert oracle_fast.labelling == oracle_slow.labelling

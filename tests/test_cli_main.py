@@ -165,7 +165,7 @@ class TestTop:
             "epoch": 3, "num_vertices": 16, "num_edges": 24,
             "label_entries": 120, "pending": 0, "running": True,
             "events_applied": 5, "events_rejected": 1,
-            "insert_batches": 2, "mixed_batches": 0,
+            "batches": 2,
             "snapshots_published": 3,
             "queries": {"count": 10, "qps": 100.0, "p50_ms": 0.5,
                         "p95_ms": 0.9, "p99_ms": 1.2},

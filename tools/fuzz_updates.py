@@ -11,9 +11,11 @@ sequential reference, and cross-checks after every op:
 * sampled distance queries == BFS ground truth;
 * the labelling equals a from-scratch minimal rebuild at the end.
 
-Every round also replays the same op sequence through an
+Every round also replays the same insert/delete ops through an
 ``OracleService`` (writer thread, coalesced batches, snapshot
-publication) and verifies the served answers against BFS.
+publication) and verifies the served answers against BFS, the served
+labelling against the reference labelling of the same ops, and that
+every submitted event was either applied or rejected.
 
 On failure the harness **shrinks** the op sequence: it repeatedly tries
 dropping ops (largest chunks first, ddmin-style) while the failure
@@ -38,7 +40,7 @@ import time
 
 from repro.core.dynamic import DynamicHCL
 from repro.core.construction import build_hcl
-from repro.exceptions import ReproError
+from repro.exceptions import EdgeNotFoundError
 from repro.graph.traversal import bfs_distances
 from repro.landmarks.selection import top_degree_landmarks
 from repro.serving.service import OracleService
@@ -171,7 +173,8 @@ def _applicable(graph, landmarks: set, op) -> bool:
 
 def run_sequence(base_graph, landmarks, ops, rng_seed: int, query_samples: int = 8):
     """Apply ``ops`` on fast + reference oracles; raise FuzzFailure on any
-    divergence.  Inapplicable ops (possible after shrinking) are skipped."""
+    divergence.  Inapplicable ops (possible after shrinking) are skipped.
+    Returns the reference oracle."""
     rng = random.Random(rng_seed)
     fast = DynamicHCL.build(base_graph.copy(), landmarks=list(landmarks),
                             fast_updates=True)
@@ -192,15 +195,15 @@ def run_sequence(base_graph, landmarks, ops, rng_seed: int, query_samples: int =
                 fast.remove_edge(op[1], op[2])
                 ref.remove_edge(op[1], op[2])
             else:
-                # Delete of a non-existent edge: both engines must raise a
-                # clean library error, leaving graph + labelling untouched
-                # (the fast route raises GraphError from the graph, the
-                # reference route InvariantViolationError from DecHL).
+                # Delete of a non-existent edge: both routes must raise
+                # EdgeNotFoundError before touching anything, leaving
+                # graph, labelling and version as they were.
                 for oracle in (fast, ref):
                     edges_before = oracle.graph.num_edges
+                    version_before = oracle.version
                     try:
                         oracle.remove_edge(op[1], op[2])
-                    except ReproError:
+                    except EdgeNotFoundError:
                         pass
                     else:
                         raise FuzzFailure(
@@ -210,6 +213,11 @@ def run_sequence(base_graph, landmarks, ops, rng_seed: int, query_samples: int =
                     if oracle.graph.num_edges != edges_before:
                         raise FuzzFailure(
                             f"absent-edge delete mutated the graph at step "
+                            f"{step}: {op}"
+                        )
+                    if oracle.version != version_before:
+                        raise FuzzFailure(
+                            f"absent-edge delete moved the version at step "
                             f"{step}: {op}"
                         )
         elif kind == "mixed":
@@ -234,13 +242,20 @@ def run_sequence(base_graph, landmarks, ops, rng_seed: int, query_samples: int =
     rebuilt = build_hcl(fast.graph, fast.landmarks)
     if fast.labelling != rebuilt:
         raise FuzzFailure("final labelling differs from from-scratch rebuild")
+    return ref
 
 
 def run_service_sequence(base_graph, landmarks, ops, query_samples: int = 12):
-    """Replay insert/delete ops through OracleService; verify served answers."""
+    """Replay insert/delete ops through OracleService; verify served
+    answers, the final labelling against :func:`run_sequence`'s reference
+    for the same ops, and the applied + rejected event count."""
+    edge_ops = [op for op in ops if op[0] != "landmark"]
+    reference = run_sequence(
+        base_graph, landmarks, edge_ops, rng_seed=0, query_samples=0
+    )
     oracle = DynamicHCL.build(base_graph.copy(), landmarks=list(landmarks))
     events = []
-    for op in ops:
+    for op in edge_ops:
         if op[0] == "insert":
             events.append(UpdateEvent("insert", (op[1], op[2])))
         elif op[0] == "batch":
@@ -260,6 +275,14 @@ def run_service_sequence(base_graph, landmarks, ops, query_samples: int = 12):
         service.flush()
         if service.degraded is not None:
             raise FuzzFailure(f"service degraded: {service.degraded}")
+        stats = service.stats()
+        if stats["events_applied"] + stats["events_rejected"] != len(events):
+            raise FuzzFailure(
+                f"service applied {stats['events_applied']} + rejected "
+                f"{stats['events_rejected']} of {len(events)} events"
+            )
+        if oracle.labelling != reference.labelling:
+            raise FuzzFailure("served labelling != reference labelling")
         snap = service.snapshot
         vertices = sorted(oracle.graph.vertices())
         for _ in range(query_samples):
