@@ -130,9 +130,13 @@ def bidirectional_bfs(
     answered from the labelling instead and never reach this function, but
     permitting endpoints in ``skip`` keeps the primitive total).
 
-    Levels are expanded smaller-frontier-first; the search stops as soon as
-    the sum of the two search radii reaches ``min(best, bound)``, which is
-    exactly when no shorter path can remain undiscovered.
+    Levels are expanded smaller-frontier-first and one ``side`` map marks
+    each reached vertex ``+1`` (source side) or ``-1`` (target side).  The
+    two balls stay disjoint, so no path of length ``radius_s + radius_t``
+    or less exists; the first neighbour carrying the other side's mark
+    therefore closes a shortest path of length ``radius_s + radius_t + 1``.
+    The last level the bound allows is not expanded: it can only matter
+    through a meet, which is tested by adjacency to the other frontier.
     """
     adj = graph.adjacency()
     if source not in adj:
@@ -144,39 +148,41 @@ def bidirectional_bfs(
     if bound < 1:
         return INF
 
-    dist_s: dict[int, int] = {source: 0}
-    dist_t: dict[int, int] = {target: 0}
+    side: dict[int, int] = {source: 1, target: -1}
     frontier_s = [source]
     frontier_t = [target]
-    radius_s = 0
-    radius_t = 0
-    best = INF
+    reach = 0
 
-    while frontier_s and frontier_t and radius_s + radius_t < min(best, bound):
+    while frontier_s and frontier_t:
         if len(frontier_s) <= len(frontier_t):
-            frontier, radius = frontier_s, radius_s + 1
-            dist_own, dist_other = dist_s, dist_t
+            frontier, other_frontier, mark = frontier_s, frontier_t, 1
         else:
-            frontier, radius = frontier_t, radius_t + 1
-            dist_own, dist_other = dist_t, dist_s
+            frontier, other_frontier, mark = frontier_t, frontier_s, -1
+        # The length of every path this level can close.
+        reach += 1
+        if reach >= bound:
+            if reach == bound:
+                other = set(other_frontier)
+                for v in frontier:
+                    if not other.isdisjoint(adj[v]):
+                        return reach
+            return INF
         next_frontier = []
         for v in frontier:
-            base = dist_own[v] + 1
             for w in adj[v]:
-                other = dist_other.get(w)
-                if other is not None:
-                    total = base + other
-                    if total < best:
-                        best = total
-                if w not in dist_own and w not in skip:
-                    dist_own[w] = base
-                    next_frontier.append(w)
-        if dist_own is dist_s:
-            frontier_s, radius_s = next_frontier, radius
+                seen = side.get(w)
+                if seen is None:
+                    if w not in skip:
+                        side[w] = mark
+                        next_frontier.append(w)
+                elif seen != mark:
+                    return reach
+        if mark == 1:
+            frontier_s = next_frontier
         else:
-            frontier_t, radius_t = next_frontier, radius
+            frontier_t = next_frontier
 
-    return best if best <= bound else INF
+    return INF
 
 
 def dijkstra_distances(

@@ -40,6 +40,28 @@ def reference_distance(graph: DynamicGraph, u: int, v: int) -> float:
     return reference_bfs(graph, u).get(v, INF)
 
 
+def reference_distance_avoiding(
+    graph: DynamicGraph, u: int, v: int, skip
+) -> float:
+    """Exact ``u``–``v`` distance over paths whose *interiors* avoid
+    ``skip``; the endpoints themselves may be in ``skip``.
+
+    Deque BFS from ``u`` that records every vertex it reaches but never
+    expands a ``skip`` vertex other than ``u``.
+    """
+    dist = {u: 0}
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        if x != u and x in skip:
+            continue
+        for w in graph.neighbors(x):
+            if w not in dist:
+                dist[w] = dist[x] + 1
+                queue.append(w)
+    return dist.get(v, INF)
+
+
 def all_pairs_distances(graph: DynamicGraph) -> dict[int, dict[int, int]]:
     """Full APSP table (small graphs only)."""
     return {v: reference_bfs(graph, v) for v in graph.vertices()}

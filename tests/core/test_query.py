@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.construction import build_hcl
+from repro.core.highway import Highway
+from repro.core.labelling import HighwayCoverLabelling
+from repro.core.labels import LabelStore
 from repro.core.query import landmark_distance, query_distance, upper_bound
 from repro.exceptions import VertexNotFoundError
 from repro.graph.dynamic_graph import DynamicGraph
@@ -59,6 +62,94 @@ class TestUpperBound:
         g.add_edge(2, 3)
         gamma = build_hcl(g, [0])
         assert upper_bound(gamma, 2, 3) == INF
+
+
+def exhaustive_upper_bound(labelling, u, v):
+    """Eq. (2) by brute force: the min of ``du + δ_H(ri, rj) + dv`` over
+    every pair in ``L(u) × L(v)``, unreachable highway pairs skipped."""
+    candidates = [
+        du + labelling.highway.distance(ri, rj) + dv
+        for ri, du in labelling.labels.label(u).items()
+        for rj, dv in labelling.labels.label(v).items()
+    ]
+    return min(candidates, default=INF)
+
+
+@st.composite
+def random_labellings(draw):
+    """A highway over 1–6 landmarks with some pairs unreachable, and
+    labels for the non-landmarks 0 and 1 (sizes drawn independently, so
+    either may be the smaller or empty; shared landmarks are common)."""
+    landmarks = list(range(100, 100 + draw(st.integers(1, 6))))
+    highway = Highway(landmarks)
+    for i, ri in enumerate(landmarks):
+        for rj in landmarks[i + 1 :]:
+            if draw(st.booleans()):
+                highway.set_distance(ri, rj, draw(st.integers(1, 9)))
+    labels = LabelStore()
+    for v in (0, 1):
+        chosen = draw(st.lists(st.sampled_from(landmarks), unique=True))
+        for r in chosen:
+            labels.set_entry(v, r, draw(st.integers(1, 9)))
+    return HighwayCoverLabelling(highway, labels)
+
+
+class TestUpperBoundJoin:
+    """The pruned join equals the exhaustive Eq. (2) min."""
+
+    @given(random_labellings())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exhaustive_join(self, gamma):
+        expected = exhaustive_upper_bound(gamma, 0, 1)
+        assert upper_bound(gamma, 0, 1) == expected
+        assert upper_bound(gamma, 1, 0) == expected
+
+    def test_unequal_sizes_swap(self):
+        highway = Highway([10, 11, 12])
+        highway.set_distance(10, 11, 2)
+        highway.set_distance(11, 12, 1)
+        highway.set_distance(10, 12, 3)
+        labels = LabelStore()
+        labels.set_entry(0, 12, 1)
+        for r, d in ((10, 1), (11, 5), (12, 7)):
+            labels.set_entry(1, r, d)
+        gamma = HighwayCoverLabelling(highway, labels)
+        # best is 0 -(1)- 12 -(3)- 10 -(1)- 1; via 11 costs 7, via 12 alone 8
+        assert upper_bound(gamma, 0, 1) == upper_bound(gamma, 1, 0) == 5
+        assert exhaustive_upper_bound(gamma, 0, 1) == 5
+
+    def test_shared_landmark_via_zero(self):
+        highway = Highway([10, 11])
+        highway.set_distance(10, 11, 1)
+        labels = LabelStore()
+        labels.set_entry(0, 10, 3)
+        labels.set_entry(0, 11, 1)
+        labels.set_entry(1, 10, 2)
+        gamma = HighwayCoverLabelling(highway, labels)
+        # via 11 then 10 costs 1 + 1 + 2 = 4; through the shared 10, 3 + 0 + 2
+        assert upper_bound(gamma, 0, 1) == 4
+        labels.set_entry(1, 11, 1)
+        assert upper_bound(gamma, 0, 1) == 2
+
+    def test_missing_highway_entries(self):
+        highway = Highway([10, 11, 12])
+        highway.set_distance(11, 12, 4)
+        labels = LabelStore()
+        labels.set_entry(0, 10, 1)
+        labels.set_entry(1, 11, 1)
+        gamma = HighwayCoverLabelling(highway, labels)
+        assert upper_bound(gamma, 0, 1) == INF
+        labels.set_entry(0, 12, 2)
+        assert upper_bound(gamma, 0, 1) == 7
+
+    def test_empty_label(self):
+        highway = Highway([10])
+        labels = LabelStore()
+        labels.set_entry(0, 10, 1)
+        gamma = HighwayCoverLabelling(highway, labels)
+        assert upper_bound(gamma, 0, 1) == INF
+        assert upper_bound(gamma, 1, 0) == INF
+        assert upper_bound(gamma, 1, 2) == INF
 
 
 class TestQueryDistance:

@@ -20,7 +20,11 @@ from repro.graph.traversal import (
 )
 from repro.graph.weighted import WeightedGraph
 
-from tests.conftest import random_connected_graph, reference_bfs
+from tests.conftest import (
+    random_connected_graph,
+    reference_bfs,
+    reference_distance_avoiding,
+)
 
 
 class TestBfsDistances:
@@ -140,6 +144,58 @@ class TestBidirectionalBfs:
         for bound in (0, 1, 2, 3, 5, INF):
             got = bidirectional_bfs(g, u, v, bound=bound)
             assert got == (truth if truth <= bound else INF)
+
+
+class TestBidirectionalBfsStopping:
+    """The first meet is final, and the last level the bound allows is
+    tested by adjacency instead of expanded."""
+
+    @given(st.integers(0, 300), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_with_skip_and_bounds(self, seed, rng):
+        g = random_connected_graph(seed)
+        vertices = list(g.vertices())
+        for _ in range(6):
+            u, v = rng.choice(vertices), rng.choice(vertices)
+            skip = set(rng.sample(vertices, rng.randint(0, len(vertices) // 2)))
+            if rng.random() < 0.3:
+                skip.add(u)
+            if rng.random() < 0.3:
+                skip.add(v)
+            truth = reference_distance_avoiding(g, u, v, skip)
+            for bound in (0, truth - 1, truth, truth + 1, INF):
+                if bound < 0:
+                    continue
+                got = bidirectional_bfs(g, u, v, bound=bound, skip=skip)
+                assert got == (truth if truth <= bound else INF), (u, v, skip, bound)
+
+    def test_meet_in_the_middle_of_a_level(self):
+        # Target side expands [7, 8]: 7 only leads to a dead end, 8 meets 3.
+        g = DynamicGraph.from_edges(
+            [(0, 1), (0, 2), (0, 3), (9, 7), (9, 8), (7, 6), (8, 3), (1, 4),
+             (4, 5), (5, 6)]
+        )
+        for bound in (3, 4, INF):
+            assert bidirectional_bfs(g, 0, 9, bound=bound) == 3
+        assert bidirectional_bfs(g, 0, 9, bound=2) == INF
+
+    def test_skipped_middle_vertex(self):
+        g = DynamicGraph.from_edges([(0, 1), (1, 2)])
+        assert bidirectional_bfs(g, 0, 2, bound=2, skip={1}) == INF
+        g = DynamicGraph.from_edges([(0, 1), (1, 2), (0, 3), (3, 4), (4, 2)])
+        assert bidirectional_bfs(g, 0, 2, bound=2, skip={1}) == INF
+        assert bidirectional_bfs(g, 0, 2, bound=3, skip={1}) == 3
+
+    def test_fractional_bound(self, path_graph):
+        assert bidirectional_bfs(path_graph, 0, 3, bound=2.5) == INF
+        assert bidirectional_bfs(path_graph, 0, 3, bound=3.5) == 3
+
+    def test_both_endpoints_in_skip(self):
+        g = DynamicGraph.from_edges([(0, 1), (1, 2), (2, 3), (0, 4), (4, 3)])
+        assert bidirectional_bfs(g, 0, 1, bound=1, skip={0, 1}) == 1
+        assert bidirectional_bfs(g, 0, 3, bound=2, skip={0, 3}) == 2
+        assert bidirectional_bfs(g, 0, 3, bound=2, skip={0, 3, 4}) == INF
+        assert bidirectional_bfs(g, 0, 3, skip={0, 3, 4}) == 3
 
 
 class TestDijkstra:
