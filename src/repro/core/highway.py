@@ -27,7 +27,7 @@ class Highway:
     0
     """
 
-    __slots__ = ("_landmarks", "_landmark_set", "_dist", "_shared")
+    __slots__ = ("_landmarks", "_landmark_set", "_dist", "_owned")
 
     def __init__(self, landmarks: Iterable[int]) -> None:
         self._landmarks = list(landmarks)
@@ -38,16 +38,17 @@ class Highway:
         self._dist: dict[int, dict[int, float]] = {
             r: {r: 0} for r in self._landmarks
         }
-        # Rows shared with live snapshots (see :meth:`snapshot_state`);
-        # ``None`` until the first snapshot is taken.
-        self._shared: set[int] | None = None
+        # Rows copied since the last snapshot (see :meth:`snapshot_state`);
+        # any other row may be shared with a live snapshot.  ``None`` until
+        # the first snapshot is taken.
+        self._owned: set[int] | None = None
 
     def _cow(self, r: int) -> None:
         """Detach the row of ``r`` from any live snapshot before mutating."""
-        shared = self._shared
-        if shared is not None and r in shared:
+        owned = self._owned
+        if owned is not None and r not in owned:
+            owned.add(r)
             self._dist[r] = dict(self._dist[r])
-            shared.discard(r)
 
     def snapshot_state(
         self,
@@ -60,7 +61,7 @@ class Highway:
         in-place mutation copies the affected row first, so the returned
         state is a stable point-in-time view.
         """
-        self._shared = set(self._dist)
+        self._owned = set()
         return list(self._landmarks), self._landmark_set, dict(self._dist)
 
     @property

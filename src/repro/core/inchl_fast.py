@@ -8,35 +8,37 @@ counterpart of :mod:`repro.core.construction_fast`: the same three-phase
 algorithm, but
 
 * the graph is read through a :class:`~repro.graph.dyncsr.DynCSR` overlay
-  that stays valid across insertions (no per-update re-snapshot);
+  that stays valid across updates (no per-update re-snapshot);
 * old distances come from **dense per-landmark distance rows** maintained
   incrementally — by Eq. (1) a landmark query against a valid minimal
   labelling *is* the exact distance ``d_G(r, v)``, so seeding the rows
   with one CSR BFS per landmark and overwriting exactly the affected
   entries after each repair keeps them equal to what the dict kernels
   would derive from labels, at ``O(1)`` per lookup;
-* find and repair run as the numpy level kernels
+* a single insertion runs the per-landmark hybrid kernels
   :func:`~repro.parallel.sweeps.csr_find_affected` /
-  :func:`~repro.parallel.sweeps.csr_repair_affected`, with per-landmark
-  batch finds fanned out through the
+  :func:`~repro.parallel.sweeps.csr_repair_affected`;
+* a batch — insertions, deletions or both — runs as **one** sweep over
+  flat ``(landmark, vertex)`` ids into the ``|R| x cap`` rows
+  (:func:`~repro.parallel.sweeps.csr_find_affected_mixed`, BatchHL-style,
+  ``docs/DESIGN.md`` §10), then one repair pass per depth
+  (:func:`~repro.parallel.sweeps.csr_batch_repair_mixed`); ``workers``
+  maps the find over contiguous landmark groups through the
   :class:`~repro.parallel.engine.LandmarkEngine`.
 
 The produced labelling is byte-identical to the sequential Phase A/B/C
 implementation — same affected sets, same new distances, same covered
 verdicts, same entry/highway mutations (``docs/DESIGN.md`` §8; asserted
-exhaustively by ``tests/proptest``).
+exhaustively by ``tests/proptest``); since the minimal labelling is a
+canonical function of the graph and landmark set, mixed batches equal
+the sequential insert-then-:mod:`~repro.core.dechl` reference byte for
+byte.  Only landmark maintenance and vertex removal invalidate the
+engine; the owning :class:`~repro.core.dynamic.DynamicHCL` drops it and
+rebuilds on the next fast update.
 
-The engine is *fully dynamic*: :meth:`FastUpdateEngine.remove_edge` /
-:meth:`FastUpdateEngine.apply_mixed` absorb deletions and mixed
-insert/delete batches through the BatchHL-style unified kernel
-(:func:`~repro.parallel.sweeps.csr_find_affected_mixed`,
-``docs/DESIGN.md`` §10), keeping the dense rows exact across every event
-kind; since the minimal labelling is a canonical function of the graph
-and landmark set, the result equals the sequential
-insert-then-:mod:`~repro.core.dechl` reference byte for byte.  Only
-landmark maintenance and vertex removal still invalidate the engine; the
-owning :class:`~repro.core.dynamic.DynamicHCL` drops it and rebuilds on
-the next fast update.
+The kernels are called through this module's globals (and
+:mod:`repro.parallel.sweeps`'s for the find), so the traced benchmark can
+time them by name (``tests/core/test_kernel_hooks.py``).
 """
 
 from __future__ import annotations
@@ -52,10 +54,10 @@ from repro.exceptions import InvariantViolationError
 from repro.graph.dyncsr import UNREACH, DynCSR
 from repro.parallel.engine import LandmarkEngine
 from repro.parallel.sweeps import (
+    _unique,
     csr_batch_repair_mixed,
-    csr_batch_sweep,
     csr_find_affected,
-    csr_mixed_sweep,
+    csr_find_group_task,
     csr_repair_affected,
 )
 
@@ -65,15 +67,16 @@ __all__ = ["FastUpdateEngine"]
 class FastUpdateEngine:
     """Per-oracle state of the vectorized update path.
 
-    Owns the :class:`DynCSR` overlay, the dense ``|R| x n`` old-distance
+    Owns the :class:`DynCSR` overlay, the dense ``|R| x cap`` distance
     matrix and the reusable scratch buffers.  Create it from a graph and
     labelling that are *in sync* (the labelling is valid and minimal for
-    the graph); apply every subsequent insertion through
-    :meth:`insert_edge` / :meth:`insert_edges_batch` — the caller mutates
-    the owning :class:`~repro.graph.dynamic_graph.DynamicGraph` first,
-    the engine mirrors the edge into its overlay and repairs the
-    labelling.  Any other mutation desynchronizes the engine: drop it and
-    build a fresh one (see :meth:`matches`).
+    the graph); apply every subsequent update through
+    :meth:`insert_edge` / :meth:`apply_mixed` (or their wrappers) — the
+    caller mutates the owning
+    :class:`~repro.graph.dynamic_graph.DynamicGraph` first, the engine
+    mirrors the edges into its overlay and repairs the labelling.  Any
+    other mutation desynchronizes the engine: drop it and build a fresh
+    one (see :meth:`matches`).
 
     >>> from repro.core.construction import build_hcl
     >>> from repro.core.inchl import apply_edge_insertion
@@ -97,10 +100,10 @@ class FastUpdateEngine:
         "_dist",
         "_is_landmark",
         "_has_entry",
-        "_new_dist",
+        "_new_depth",
         "_covered",
         "_row_views",
-        "_scratch_views",
+        "_landmark_view",
         "workers",
     )
 
@@ -132,7 +135,8 @@ class FastUpdateEngine:
                         f"owned landmark {r} not in the labelling's landmarks"
                     )
         self._dyn = DynCSR.from_graph(graph)
-        #: Default worker count for batch Phase B fan-out.
+        #: Default worker count: the batch find runs over this many
+        #: contiguous landmark groups.
         self.workers = workers
         dyn = self._dyn
         capacity = dyn.capacity
@@ -158,27 +162,26 @@ class FastUpdateEngine:
         for k, column in enumerate(columns):
             if column:
                 self._has_entry[k, column] = 1
-        self._new_dist = np.full(capacity, -1, dtype=np.int32)
-        self._covered = np.zeros(capacity, dtype=np.uint8)
-        self._rebuild_views()
+        self._alloc_scratch()
 
-    def _rebuild_views(self) -> None:
-        """Cache the memoryviews the scalar kernel paths read.
+    def _alloc_scratch(self) -> None:
+        """(Re)allocate the per-(landmark, vertex) repair scratch.
 
-        ``_row_views[k]`` is ``(dist_row_mv, has_entry_row_mv)``;
-        ``_scratch_views`` is ``(new_dist_mv, covered_mv, landmark_mv)``.
-        Rebuilt whenever the backing arrays are re-allocated
-        (:meth:`_ensure_capacity`).
+        ``_new_depth`` (int32, ``-1`` = not affected) and ``_covered``
+        (uint8) have the shape of the distance matrix; every kernel call
+        leaves them reset, so growth starts them afresh.  Also caches the
+        memoryviews the scalar single-edge kernels read:
+        ``_row_views[k]`` is ``(dist, has_entry, new_depth, covered)``
+        over row ``k``.
         """
+        self._new_depth = np.full(self._dist.shape, -1, dtype=np.int32)
+        self._covered = np.zeros(self._dist.shape, dtype=np.uint8)
+        blocks = (self._dist, self._has_entry, self._new_depth, self._covered)
         self._row_views = [
-            (memoryview(self._dist[k]), memoryview(self._has_entry[k]))
+            tuple(memoryview(block[k]) for block in blocks)
             for k in range(len(self._landmarks))
         ]
-        self._scratch_views = (
-            memoryview(self._new_dist),
-            memoryview(self._covered),
-            memoryview(self._is_landmark),
-        )
+        self._landmark_view = memoryview(self._is_landmark)
 
     # ------------------------------------------------------------------
     # Sync
@@ -248,37 +251,27 @@ class FastUpdateEngine:
         is_landmark = np.zeros(capacity, dtype=bool)
         is_landmark[: len(self._is_landmark)] = self._is_landmark
         self._is_landmark = is_landmark
-        new_dist = np.full(capacity, -1, dtype=np.int32)
-        new_dist[: len(self._new_dist)] = self._new_dist
-        self._new_dist = new_dist
-        covered = np.zeros(capacity, dtype=np.uint8)
-        covered[: len(self._covered)] = self._covered
-        self._covered = covered
-        self._rebuild_views()
+        self._alloc_scratch()
 
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
     def _repair_and_fold(self, k: int, r: int, levels, stats, union) -> int:
-        """Phase C for one landmark: repair, refresh the dense row, reset
-        scratch.  Returns ``|Λ_r|``."""
-        row = self._dist[k]
-        new_dist = self._new_dist
-        covered = self._covered
-        row_mv, has_mv = self._row_views[k]
-        new_mv, covered_mv, landmark_mv = self._scratch_views
+        """Single-edge Phase C for one landmark: repair, refresh the dense
+        row, reset scratch.  Returns ``|Λ_r|``."""
+        row_mv, has_mv, new_mv, covered_mv = self._row_views[k]
         csr_repair_affected(
             self._dyn,
             self._labelling,
             r,
             levels,
-            row,
-            new_dist,
+            self._dist[k],
+            self._new_depth[k],
             self._is_landmark,
-            covered,
+            self._covered[k],
             self._has_entry[k],
             stats,
-            views=(row_mv, new_mv, landmark_mv, covered_mv, has_mv),
+            views=(row_mv, new_mv, self._landmark_view, covered_mv, has_mv),
         )
         affected = 0
         for depth, verts in levels:
@@ -292,9 +285,9 @@ class FastUpdateEngine:
             else:
                 affected += verts.size
                 union.update(verts.tolist())
-                row[verts] = depth
-                new_dist[verts] = -1
-                covered[verts] = 0
+                self._dist[k, verts] = depth
+                self._new_depth[k, verts] = -1
+                self._covered[k, verts] = 0
         return affected
 
     def insert_edge(self, u: int, v: int) -> UpdateStats:
@@ -317,11 +310,10 @@ class FastUpdateEngine:
         # find reads no labels, and repairs touch only r-entries — and the
         # repair order equals the sequential Phase C order.
         row_views = self._row_views
-        new_mv = self._scratch_views[0]
         find_s = 0.0
         repair_s = 0.0
         for k, r in enumerate(self._landmarks):
-            row_mv = row_views[k][0]
+            row_mv, _, new_mv, _ = row_views[k]
             da = row_mv[ui]
             db = row_mv[vi]
             if da == db:
@@ -333,7 +325,7 @@ class FastUpdateEngine:
                 dyn,
                 self._dist[k],
                 seeds,
-                self._new_dist,
+                self._new_depth[k],
                 views=(row_mv, new_mv),
             )
             t1 = perf_counter()
@@ -363,6 +355,15 @@ class FastUpdateEngine:
         """Fast-path deletion of a burst of edges in one combined sweep."""
         return self.apply_mixed([], edges, workers=workers)
 
+    def insert_edges_batch(
+        self, edges: Iterable[tuple[int, int]], workers: int | None = None
+    ) -> MixedUpdateStats:
+        """Batch IncHL+ — a mixed batch without deletions.
+
+        The owning graph must already contain every edge of the batch.
+        """
+        return self.apply_mixed(edges, [], workers=workers)
+
     def apply_mixed(
         self,
         inserts: Iterable[tuple[int, int]],
@@ -375,197 +376,81 @@ class FastUpdateEngine:
         present, deletes gone); the two edge sets must be disjoint and
         *net* — the caller (:meth:`repro.core.dynamic.DynamicHCL.
         apply_events_batch`) collapses insert-then-delete churn before
-        calling in.  Phase A resolves the deletion orientations per
-        landmark from the dense rows (``|old(a) - old(b)| == 1`` is the
-        only shape the old shortest-path DAG admits; insertion
-        orientations are deletion-region-dependent and resolve inside the
-        kernel); Phase B fans the unified finds out across the
-        :class:`LandmarkEngine`; Phase C repairs in landmark order and
-        folds the new distances — including :data:`UNREACH` for
-        disconnected vertices — back into the dense rows.
+        calling in.  Phase B is one flat-id sweep over every landmark
+        (:func:`~repro.parallel.sweeps.csr_find_affected_mixed`), mapped
+        over ``workers`` contiguous landmark groups by the
+        :class:`LandmarkEngine` (serial is one group); it leaves the new
+        distances — :data:`UNREACH` for disconnected pairs — in the dense
+        rows.  Phase C (:func:`~repro.parallel.sweeps.csr_batch_repair_mixed`)
+        evaluates every covered verdict depth by depth, then mutates the
+        labelling landmark by landmark.
         """
         ins_list = [(int(a), int(b)) for a, b in inserts]
         del_list = [(int(a), int(b)) for a, b in deletes]
         if not ins_list and not del_list:
             raise InvariantViolationError("mixed batch needs at least one event")
-        if not del_list:
-            # Pure insertion burst: the specialized batch path is the same
-            # algorithm with the deletion stages compiled out.
-            batch = self.insert_edges_batch(ins_list, workers=workers)
-            stats = MixedUpdateStats(ins_list, [])
-            stats.affected_per_landmark = batch.affected_per_landmark
-            stats.affected_union = batch.affected_union
-            stats.entries_added = batch.entries_added
-            stats.entries_modified = batch.entries_modified
-            stats.entries_removed = batch.entries_removed
-            stats.highway_updates = batch.highway_updates
-            stats.phases = batch.phases
-            return stats
         find_start = perf_counter()
         dyn = self._dyn
         if ins_list:
             dyn.insert_edges_batch(ins_list)
-        dyn.remove_edges_batch(del_list)
+        if del_list:
+            dyn.remove_edges_batch(del_list)
         self._ensure_capacity()
-        ins_idx = [(dyn.index(a), dyn.index(b)) for a, b in ins_list]
-        del_idx = [(dyn.index(a), dyn.index(b)) for a, b in del_list]
+        index = dyn.index
+        ins_idx = np.array(
+            [(index(a), index(b)) for a, b in ins_list], dtype=np.int64
+        ).reshape(-1, 2)
+        del_idx = np.array(
+            [(index(a), index(b)) for a, b in del_list], dtype=np.int64
+        ).reshape(-1, 2)
 
-        stats = MixedUpdateStats(ins_list, del_list)
-        unreachable = int(UNREACH)
-        plans: list[tuple[int, list, list]] = []
-        for k, r in enumerate(self._landmarks):
-            row_mv = self._row_views[k][0]
-            del_seeds: list[tuple[int, int]] = []
-            for ai, bi in del_idx:
-                da = row_mv[ai]
-                db = row_mv[bi]
-                # |old(a) - old(b)| == 1 is the only orientation the old
-                # SP DAG admits; both-unreachable fails it because UNREACH
-                # + 1 != UNREACH (unlike inf + 1 == inf, see dechl).
-                if da + 1 == db:
-                    del_seeds.append((bi, db))
-                elif db + 1 == da:
-                    del_seeds.append((ai, da))
-            stats.affected_per_landmark[r] = 0
-            if del_seeds:
-                plans.append((k, ins_idx, del_seeds))
-                continue
-            for ai, bi in ins_idx:
-                da = row_mv[ai]
-                db = row_mv[bi]
-                if (da != unreachable and da + 1 <= db) or (
-                    db != unreachable and db + 1 <= da
-                ):
-                    plans.append((k, ins_idx, []))
-                    break
-
+        rows, cap = self._dist.shape
         engine = LandmarkEngine(self.workers if workers is None else workers)
-        results = engine.map(csr_mixed_sweep, (dyn, self._dist), plans)
-        repair_start = perf_counter()
-
-        union: set[int] = set()
-        new_dist = self._new_dist
-        new_mv = self._scratch_views[0]
-        for k, levels, removed in results:
-            r = self._landmarks[k]
-            for depth, verts in levels:
-                if isinstance(verts, list):
-                    for v in verts:
-                        new_mv[v] = depth
-                else:
-                    new_dist[verts] = depth
-            stats.disconnected += len(removed)
-            stats.affected_per_landmark[r] = self._repair_and_fold_mixed(
-                k, r, levels, removed, stats, union
-            )
-        stats.affected_union = len(union)
-        stats.phases = {
-            "find": repair_start - find_start,
-            "repair": perf_counter() - repair_start,
-        }
-        return stats
-
-    def _repair_and_fold_mixed(
-        self, k: int, r: int, levels, removed, stats, union
-    ) -> int:
-        """Phase C for one landmark of a mixed batch.  Returns ``|Λ_r|``
-        (settled + disconnected)."""
-        row = self._dist[k]
-        new_dist = self._new_dist
-        covered = self._covered
-        row_mv, has_mv = self._row_views[k]
-        new_mv, covered_mv, landmark_mv = self._scratch_views
-        csr_batch_repair_mixed(
-            self._dyn,
-            self._labelling,
-            r,
-            levels,
-            removed,
-            row,
-            new_dist,
-            self._is_landmark,
-            covered,
-            self._has_entry[k],
-            stats,
-            views=(row_mv, new_mv, landmark_mv, covered_mv, has_mv),
+        groups = min(engine.workers, rows) or 1
+        bounds = [rows * g // groups for g in range(groups + 1)]
+        results = engine.map(
+            csr_find_group_task,
+            (dyn, self._dist, self._new_depth),
+            [(lo, hi, ins_idx, del_idx) for lo, hi in zip(bounds, bounds[1:])],
         )
-        affected = len(removed)
-        union.update(removed)
-        for depth, verts in levels:
-            if isinstance(verts, list):
-                affected += len(verts)
-                union.update(verts)
-                for v in verts:
-                    row_mv[v] = depth
-                    new_mv[v] = -1
-                    covered_mv[v] = 0
-            else:
-                affected += verts.size
-                union.update(verts.tolist())
-                row[verts] = depth
-                new_dist[verts] = -1
-                covered[verts] = 0
-        return affected
-
-    def insert_edges_batch(
-        self, edges: Iterable[tuple[int, int]], workers: int | None = None
-    ) -> BatchUpdateStats:
-        """Batch IncHL+ — one kernel sweep per landmark for the burst.
-
-        Mirrors :func:`repro.core.batch.apply_edge_insertions_batch`:
-        Phase A keeps the seed orientations that can carry a new shortest
-        path, Phase B runs the multi-seed finds (fanned out across the
-        :class:`LandmarkEngine` when ``workers`` asks for it), Phase C
-        repairs in landmark order.  The owning graph must already contain
-        every edge of the batch.
-        """
-        edge_list = [(int(a), int(b)) for a, b in edges]
-        if not edge_list:
-            raise InvariantViolationError("batch insertion needs at least one edge")
-        find_start = perf_counter()
-        dyn = self._dyn
-        dyn.insert_edges_batch(edge_list)
-        self._ensure_capacity()
-        endpoints = [(dyn.index(a), dyn.index(b)) for a, b in edge_list]
-
-        stats = BatchUpdateStats(edge_list)
-        unreachable = int(UNREACH)
-        plans: list[tuple[int, list[tuple[int, int]]]] = []
-        for k, r in enumerate(self._landmarks):
-            row_mv = self._row_views[k][0]
-            seeds: list[tuple[int, int]] = []
-            for ai, bi in endpoints:
-                da = row_mv[ai]
-                db = row_mv[bi]
-                if da != unreachable and da + 1 <= db:
-                    seeds.append((bi, da + 1))
-                if db != unreachable and db + 1 <= da:
-                    seeds.append((ai, db + 1))
-            stats.affected_per_landmark[r] = 0
-            if seeds:
-                plans.append((k, seeds))
-
-        engine = LandmarkEngine(self.workers if workers is None else workers)
-        results = engine.map(csr_batch_sweep, (dyn, self._dist), plans)
+        if engine.is_parallel and groups > 1:
+            # Pooled groups ran on a worker's copy of the rows and scratch.
+            dist = self._dist.reshape(-1)
+            new_depth = self._new_depth.reshape(-1)
+            for levels, removed in results:
+                for level in levels:
+                    dist[level.flat] = level.depth
+                    new_depth[level.flat] = level.depth
+                dist[removed] = UNREACH
         repair_start = perf_counter()
 
-        union: set[int] = set()
-        new_dist = self._new_dist
-        new_mv = self._scratch_views[0]
-        for k, levels in results:
-            r = self._landmarks[k]
-            # Parallel finds come back as bare levels; scatter them into
-            # the shared scratch the repair kernel reads.
-            for depth, verts in levels:
-                if isinstance(verts, list):
-                    for v in verts:
-                        new_mv[v] = depth
-                else:
-                    new_dist[verts] = depth
-            stats.affected_per_landmark[r] = self._repair_and_fold(
-                k, r, levels, stats, union
+        # Groups hold ascending landmark ranges, so repairing them in
+        # order mutates landmark by landmark exactly as one group would.
+        stats = MixedUpdateStats(ins_list, del_list)
+        affected = []
+        for levels, removed in results:
+            csr_batch_repair_mixed(
+                dyn,
+                self._labelling,
+                self._landmarks,
+                levels,
+                removed,
+                self._dist,
+                self._new_depth,
+                self._covered,
+                self._is_landmark,
+                self._has_entry,
+                stats,
             )
-        stats.affected_union = len(union)
+            affected += [level.flat for level in levels]
+            affected.append(removed)
+            stats.disconnected += int(removed.size)
+        affected = np.concatenate(affected)
+        self._new_depth.reshape(-1)[affected] = -1
+        self._covered.reshape(-1)[affected] = 0
+        per_row = np.bincount(affected // cap, minlength=rows).tolist()
+        stats.affected_per_landmark = dict(zip(self._landmarks, per_row))
+        stats.affected_union = int(_unique(affected % cap).size)
         stats.phases = {
             "find": repair_start - find_start,
             "repair": perf_counter() - repair_start,

@@ -31,22 +31,26 @@ class LabelStore:
     1
     """
 
-    __slots__ = ("_labels", "_total", "_shared")
+    __slots__ = ("_labels", "_total", "_owned")
 
     def __init__(self) -> None:
         self._labels: dict[int, dict[int, int]] = {}
         self._total = 0
-        # Vertices whose label dicts are shared with live snapshots (see
-        # :meth:`snapshot_rows`); ``None`` until the first snapshot, so the
-        # non-serving hot paths pay a single attribute test.
-        self._shared: set[int] | None = None
+        # Vertices whose label dicts were copied (or created through
+        # :meth:`_cow`) since the last snapshot (see :meth:`snapshot_rows`);
+        # any other row may be shared with a live snapshot and is copied
+        # before its first write.  ``None`` until the first snapshot, so
+        # the non-serving hot paths pay a single attribute test.
+        self._owned: set[int] | None = None
 
     def _cow(self, v: int) -> None:
         """Detach ``L(v)`` from any live snapshot before mutating it."""
-        shared = self._shared
-        if shared is not None and v in shared:
-            self._labels[v] = dict(self._labels[v])
-            shared.discard(v)
+        owned = self._owned
+        if owned is not None and v not in owned:
+            owned.add(v)
+            label = self._labels.get(v)
+            if label is not None:
+                self._labels[v] = dict(label)
 
     def snapshot_rows(self) -> tuple[dict[int, dict[int, int]], int]:
         """Freeze hook for :mod:`repro.serving.snapshot`.
@@ -56,9 +60,11 @@ class LabelStore:
         store, and every subsequent in-place mutation copies the affected
         row first (copy-on-write at label-row granularity).  The returned
         mapping is therefore a stable point-in-time view that later writes
-        can never tear, at pointer-copy cost instead of a deep copy.
+        can never tear, at pointer-copy cost instead of a deep copy.  The
+        store then owns no row, so the bookkeeping costs O(rows written
+        since the last snapshot), not O(|V|).
         """
-        self._shared = set(self._labels)
+        self._owned = set()
         return dict(self._labels), self._total
 
     def label(self, v: int) -> dict[int, int]:
@@ -104,16 +110,16 @@ class LabelStore:
         if distance < 0:
             raise ValueError(f"distances must be non-negative, got {distance!r}")
         labels = self._labels
-        shared = self._shared
+        owned = self._owned
         for v in vertices:
             label = labels.get(v)
             if label is None:
                 labels[v] = {r: distance}
-            elif shared is not None and v in shared:
+            elif owned is not None and v not in owned:
                 label = dict(label)
                 label[r] = distance
                 labels[v] = label
-                shared.discard(v)
+                owned.add(v)
             else:
                 label[r] = distance
         self._total += len(vertices)
@@ -130,7 +136,7 @@ class LabelStore:
         if distance < 0:
             raise ValueError(f"distances must be non-negative, got {distance!r}")
         labels = self._labels
-        shared = self._shared
+        owned = self._owned
         added = 0
         for v in vertices:
             label = labels.get(v)
@@ -138,10 +144,10 @@ class LabelStore:
                 labels[v] = {r: distance}
                 added += 1
                 continue
-            if shared is not None and v in shared:
+            if owned is not None and v not in owned:
                 label = dict(label)
                 labels[v] = label
-                shared.discard(v)
+                owned.add(v)
             if r not in label:
                 added += 1
             label[r] = distance
@@ -156,16 +162,16 @@ class LabelStore:
         Copy-on-write safe.
         """
         labels = self._labels
-        shared = self._shared
+        owned = self._owned
         removed = 0
         for v in vertices:
             label = labels.get(v)
             if label is None or r not in label:
                 continue
-            if shared is not None and v in shared:
+            if owned is not None and v not in owned:
                 label = dict(label)
                 labels[v] = label
-                shared.discard(v)
+                owned.add(v)
             del label[r]
             removed += 1
             if not label:
@@ -199,13 +205,13 @@ class LabelStore:
         """
         removed = 0
         empty: list[int] = []
-        shared = self._shared
+        owned = self._owned
         for v, label in self._labels.items():
             if r in label:
-                if shared is not None and v in shared:
+                if owned is not None and v not in owned:
                     label = dict(label)
                     self._labels[v] = label
-                    shared.discard(v)
+                    owned.add(v)
                 del label[r]
                 removed += 1
                 if not label:

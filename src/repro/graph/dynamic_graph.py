@@ -39,23 +39,24 @@ class DynamicGraph:
     [1, 2]
     """
 
-    __slots__ = ("_adj", "_num_edges", "_shared")
+    __slots__ = ("_adj", "_num_edges", "_owned")
 
     def __init__(self, vertices: Iterable[int] = ()) -> None:
         self._adj: dict[int, list[int]] = {}
         self._num_edges = 0
-        # Vertices whose neighbour lists are shared with live snapshots
-        # (see :meth:`snapshot_adjacency`); ``None`` until first snapshot.
-        self._shared: set[int] | None = None
+        # Vertices whose neighbour lists were copied since the last
+        # snapshot (see :meth:`snapshot_adjacency`); any other list may be
+        # shared with a live snapshot.  ``None`` until the first snapshot.
+        self._owned: set[int] | None = None
         for v in vertices:
             self.add_vertex(v)
 
     def _cow(self, v: int) -> None:
         """Detach ``v``'s neighbour list from any live snapshot."""
-        shared = self._shared
-        if shared is not None and v in shared:
+        owned = self._owned
+        if owned is not None and v not in owned:
+            owned.add(v)
             self._adj[v] = list(self._adj[v])
-            shared.discard(v)
 
     def snapshot_adjacency(self) -> dict[int, list[int]]:
         """Freeze hook for :mod:`repro.serving.snapshot`.
@@ -65,7 +66,7 @@ class DynamicGraph:
         copy an affected list before mutating it, so the returned mapping
         is a stable point-in-time view at pointer-copy cost.
         """
-        self._shared = set(self._adj)
+        self._owned = set()
         return dict(self._adj)
 
     # ------------------------------------------------------------------
@@ -252,8 +253,8 @@ class DynamicGraph:
             self._adj[w].remove(v)
         self._num_edges -= len(removed)
         del self._adj[v]
-        if self._shared is not None:
-            self._shared.discard(v)
+        if self._owned is not None:
+            self._owned.discard(v)
         return removed
 
     # ------------------------------------------------------------------

@@ -42,6 +42,7 @@ number of ``insert_edge`` / ``insert_edges_batch`` calls in between.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import chain
 
 import numpy as np
 
@@ -112,8 +113,6 @@ class DynCSR:
         compact indices in sorted-id order) so ground-truth comparisons
         line up index for index.
         """
-        from itertools import chain
-
         adj = graph.adjacency()
         if not adj:
             raise GraphError("cannot snapshot an empty graph")
@@ -435,7 +434,7 @@ class DynCSR:
         (detected with one mask over ``delta_count``, so an empty delta —
         the common state right after compaction — costs nothing).
         """
-        _, positions, neighbours = self._base_positions(frontier)
+        positions, neighbours = self._base_positions(frontier)
         sources = frontier[positions]
         if self._delta_total:
             mask = self._delta_count[frontier] > 0
@@ -457,20 +456,15 @@ class DynCSR:
 
     def _base_positions(
         self, frontier: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Base-CSR flattening: ``(counts, flat_positions, neighbours)``."""
-        starts = self._indptr[frontier]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Base-CSR flattening: ``(flat_positions, neighbours)``."""
         counts = self._base_len[frontier]
-        total = int(counts.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return counts, empty, empty
-        cumulative = np.cumsum(counts)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            cumulative - counts, counts
-        )
-        neighbours = self._base_indices[np.repeat(starts, counts) + offsets]
-        return counts, np.repeat(np.arange(len(frontier)), counts), neighbours
+        positions = np.repeat(np.arange(len(frontier)), counts)
+        # Row start of each source minus where its entries begin in the
+        # flattened output: adding an entry's output index gives its slot.
+        shift = self._indptr[frontier] - np.cumsum(counts) + counts
+        slots = shift[positions] + np.arange(positions.size)
+        return positions, self._base_indices[slots]
 
     def gather_neighbours(self, frontier: np.ndarray) -> np.ndarray:
         """Flattened neighbours of ``frontier`` (duplicates included).
@@ -478,7 +472,7 @@ class DynCSR:
         The find kernel's expansion needs only the target side of each
         edge, so this skips materializing the source column.
         """
-        _, _, neighbours = self._base_positions(frontier)
+        _, neighbours = self._base_positions(frontier)
         if self._delta_total:
             mask = self._delta_count[frontier] > 0
             if mask.any():
@@ -500,23 +494,22 @@ class DynCSR:
         exactly the scatter target the repair kernel needs, saving it a
         searchsorted back-mapping.
         """
-        _, positions, neighbours = self._base_positions(frontier)
+        positions, neighbours = self._base_positions(frontier)
         if self._delta_total:
-            mask = self._delta_count[frontier] > 0
-            if mask.any():
+            counts = self._delta_count[frontier]
+            dirty = np.flatnonzero(counts)
+            if dirty.size:
+                counts = counts[dirty]
                 delta = self._delta
-                extra_pos: list[int] = []
-                extra_nbr: list[int] = []
-                for position in np.nonzero(mask)[0].tolist():
-                    nbrs = delta[int(frontier[position])]
-                    extra_pos.extend([position] * len(nbrs))
-                    extra_nbr.extend(nbrs)
-                positions = np.concatenate(
-                    [positions, np.array(extra_pos, dtype=np.int64)]
+                extra = np.fromiter(
+                    chain.from_iterable(
+                        [delta[v] for v in frontier[dirty].tolist()]
+                    ),
+                    dtype=np.int64,
+                    count=int(counts.sum()),
                 )
-                neighbours = np.concatenate(
-                    [neighbours, np.array(extra_nbr, dtype=np.int64)]
-                )
+                positions = np.concatenate([positions, np.repeat(dirty, counts)])
+                neighbours = np.concatenate([neighbours, extra])
         return positions, neighbours
 
     def bfs_compact(self, source_index: int) -> np.ndarray:

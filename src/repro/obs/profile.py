@@ -73,14 +73,13 @@ _MAX_DEPTH = 64
 #: the call graph of :mod:`repro.serving.service` /
 #: :mod:`repro.core.inchl_fast`.
 PHASE_MARKERS: dict[str, str] = {
-    # find sweep (vectorized + mixed variants)
+    # find sweeps (single-edge, mixed batch, and its landmark-group task)
     "csr_find_affected": "find",
     "csr_find_affected_mixed": "find",
+    "csr_find_group_task": "find",
     # repair sweeps
     "csr_repair_affected": "repair",
     "csr_batch_repair_mixed": "repair",
-    "csr_batch_sweep": "repair",
-    "csr_mixed_sweep": "repair",
     # engine/batch apply entry points
     "apply_events_batch": "apply",
     "insert_edges_batch": "apply",

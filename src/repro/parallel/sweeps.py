@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 __all__ = [
     "LandmarkSweep",
+    "SettledLevel",
     "landmark_sweep",
     "csr_landmark_sweep",
     "merge_sweep",
@@ -40,8 +41,7 @@ __all__ = [
     "csr_find_affected_mixed",
     "csr_repair_affected",
     "csr_batch_repair_mixed",
-    "csr_batch_sweep",
-    "csr_mixed_sweep",
+    "csr_find_group_task",
 ]
 
 #: Frontier size below which the update kernels drop to scalar loops: a
@@ -291,7 +291,7 @@ def csr_find_affected(dyn, old_dist, seeds, new_dist=None, views=None):
         cand = cand[(new_dist[cand] < 0) & (old_dist[cand] >= depth)]
         if cand.size == 0:
             continue
-        level = np.unique(cand)
+        level = _unique(cand)
         new_dist[level] = depth
         levels.append((depth, level))
         neighbours = dyn.gather_neighbours(level)
@@ -308,202 +308,179 @@ def csr_find_affected(dyn, old_dist, seeds, new_dist=None, views=None):
     return levels
 
 
-def csr_find_affected_mixed(
-    dyn, old_dist, ins_edges, del_seeds, new_dist=None, del_mask=None, views=None
-):
-    """Unified affected-region search for a *mixed* insert/delete batch.
+def _unique(values):
+    """Sorted distinct values of an int array.
 
-    The BatchHL-style generalization of :func:`csr_find_affected` for one
-    landmark (``docs/DESIGN.md`` §10).  ``dyn`` must already reflect the
-    whole batch (inserted edges present, deleted edges gone) while
-    ``old_dist`` is still the landmark's pre-batch dense distance row —
-    exact by Eq. (1).  ``ins_edges`` are inserted edges as ``(ai, bi)``
-    compact-index pairs (orientation is resolved here, because it depends
-    on deletion-affected membership); ``del_seeds`` are ``(root_index,
-    old_depth)`` pairs, one per surviving orientation of a deleted edge
-    (``old(anchor) + 1 == old(root)``), as produced by the engine's
-    Phase A over the dense rows.
+    Sort-and-compare: for the few-thousand-element arrays of the update
+    kernels it is several times faster than ``np.unique``'s hash path.
+    """
+    import numpy as np
 
-    Three stages, all sharing the hybrid scalar/vector machinery:
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
-    1. **Closure** — descendants of the deletion roots in the old
-       shortest-path DAG (``old(w) == old(v) + 1`` level sweep over the
-       post-batch adjacency; hops across deleted edges are covered
-       because every deleted-edge orientation seeds its own root).  These
-       are the vertices whose distance may *increase or become infinite*;
-       they are marked in ``del_mask`` and settle unconditionally.
+
+class SettledLevel(NamedTuple):
+    """The (landmark, vertex) pairs a mixed-batch find settled at one depth.
+
+    ``flat`` holds sorted flat ids ``k * cap + v``; ``positions`` /
+    ``verts`` / ``nbrs`` are their adjacency as gathered by the find
+    (:func:`_gather_flat`), which the repair reuses for the parent
+    predicate instead of gathering the level again.
+    """
+
+    depth: int
+    flat: object
+    positions: object
+    verts: object
+    nbrs: object
+
+
+def _gather_flat(dyn, flat, cap):
+    """``(positions, vertices, neighbours)`` leaving flat ids ``flat``.
+
+    A flat id ``k * cap + v`` names vertex ``v`` in the ``k``-th row of
+    a ``rows x cap`` matrix.  ``positions`` index into ``flat``,
+    ``vertices`` are the neighbours' compact indices and ``neighbours``
+    the same neighbours as flat ids in the source's row.
+    """
+    verts = flat % cap
+    positions, nbrs = dyn.gather_with_positions(verts)
+    return positions, nbrs, (flat - verts)[positions] + nbrs
+
+
+def csr_find_affected_mixed(dyn, dist, ins_edges, del_edges, new_depth):
+    """Unified affected-region search for a mixed batch, every landmark at once.
+
+    The BatchHL-style generalization of :func:`csr_find_affected`
+    (``docs/DESIGN.md`` §10).  ``dist`` is a ``rows x cap`` block of the
+    engine's dense distance rows, still holding the pre-batch distances
+    (exact by Eq. (1)), while ``dyn`` already reflects the whole batch
+    (inserted edges present, deleted edges gone).  ``ins_edges`` and
+    ``del_edges`` are ``(m, 2)`` int64 arrays of compact endpoint
+    indices.  Every landmark's search is independent, so all of them run
+    as one sweep over *flat* ids ``k * cap + v`` — one numpy pass per
+    depth instead of one interpreter loop per landmark.
+
+    Three stages:
+
+    1. **Closure** — a deleted edge ``(a, b)`` with ``old(a) + 1 ==
+       old(b)`` (the only orientation the old shortest-path DAG admits;
+       both-unreachable fails it because ``UNREACH + 1 != UNREACH``)
+       roots ``b``; the closure adds the descendants of the roots in the
+       old DAG (``old(w) == old(v) + 1`` over the post-batch adjacency).
+       These are the vertices whose distance may *increase or become
+       infinite*.  Their row slot is overwritten with :data:`UNREACH`,
+       which is all the later stages need: a closure vertex never anchors
+       an insertion or a re-entry, and it passes every settle test.
        Over-inclusion through inserted edges is harmless: repair
        re-derives an unchanged vertex identically.
-    2. **Seeding** — insertion anchors (an anchor inside the deletion
-       region contributes through expansion instead: its own settled
-       depth is the only sound candidate) plus, per closure vertex, the
-       cheapest re-entry candidate ``old(u) + 1`` over its unaffected
-       neighbours ``u`` (their distances can only have *decreased*, so
-       the candidate never underestimates and monotonicity repairs any
-       overestimate).
-    3. **Unified bucket-queue BFS** — settles a vertex at the first
-       popped depth if it is closure-marked (exact new distance, however
-       it compares to the old one) or at ``old >= depth`` (the jumped
-       test of the insertion kernel).
+    2. **Seeding** — insertion anchors (``old(anchor) + 1 <= old(root)``,
+       per orientation) plus, per closure vertex, the cheapest re-entry
+       candidate ``old(u) + 1`` over its neighbours outside the closure
+       (their distances can only have *decreased*, so the candidate never
+       underestimates and monotonicity repairs any overestimate).
+    3. **Bucket-queue BFS** — pops candidate depths in increasing order
+       and settles a vertex at the first popped depth ``d`` with
+       ``old >= d`` (the jumped test of the insertion kernel; closure
+       vertices pass it through their ``UNREACH`` slot).  Landmarks do
+       not interact, so each landmark sees its pops in increasing depth
+       exactly as a search of its own would.
 
-    Returns ``(levels, removed)``: the affected levels in increasing new
-    depth (hybrid list/array representation, as in
-    :func:`csr_find_affected`) and the sorted closure vertices that never
-    settled — exactly the vertices the batch disconnected from the
-    landmark.  ``del_mask`` (uint8 scratch, zeroed) is reset before
-    returning; ``new_dist`` is left populated at affected indices like
-    the insertion kernel.  With no ``del_seeds`` the closure and border
-    stages vanish and the search degenerates to byte-identical
-    :func:`csr_find_affected` behaviour.
+    Each settled vertex's new depth is written to both ``dist`` (so the
+    block holds the post-batch distances on return) and the int32
+    scratch block ``new_depth`` (``-1`` everywhere on entry), which marks
+    the pairs the repair must visit; the caller resets it after repair.
+    Returns ``(levels, removed)``: one :class:`SettledLevel` per depth,
+    in increasing depth, and the sorted flat ids of the closure vertices
+    that never settled — exactly the pairs the batch disconnected.
     """
     import numpy as np
 
     from repro.graph.dyncsr import UNREACH
 
     unreachable = int(UNREACH)
-    if new_dist is None:
-        new_dist = np.full(dyn.num_vertices, -1, dtype=np.int32)
-    if del_mask is None:
-        del_mask = np.zeros(dyn.num_vertices, dtype=np.uint8)
-    if views is None:
-        old_mv = memoryview(old_dist)
-        new_mv = memoryview(new_dist)
-        del_mv = memoryview(del_mask)
-    else:
-        old_mv, new_mv, del_mv = views
-    indptr, base_len, indices, delta, delta_count = dyn.scalar_views()
+    rows, cap = dist.shape
+    old = dist.reshape(-1)
+    new = new_depth.reshape(-1)
+    bases = np.arange(rows, dtype=np.int64)[:, None] * cap
+    empty = np.empty(0, dtype=np.int64)
 
-    # Stage 1: closure of the deletion roots over the old SP DAG.
-    affected: list[int] = []
-    if del_seeds:
-        closure: dict[int, list[int]] = {}
-        for root, depth in del_seeds:
-            closure.setdefault(int(depth), []).append(int(root))
-        while closure:
-            depth = min(closure)
-            group = closure.pop(depth)
-            child_depth = depth + 1
-            pushed: list[int] = []
-            for v in group:
-                if del_mv[v]:
-                    continue
-                del_mv[v] = 1
-                affected.append(v)
-                start = indptr[v]
-                for w in indices[start : start + base_len[v]]:
-                    if old_mv[w] == child_depth and not del_mv[w]:
-                        pushed.append(w)
-                if delta_count[v]:
-                    for w in delta[v]:
-                        if old_mv[w] == child_depth and not del_mv[w]:
-                            pushed.append(w)
-            if pushed:
-                closure.setdefault(child_depth, []).extend(pushed)
+    # Stage 1: closure of the deletion roots over the old SP DAG.  Each
+    # frontier's adjacency is kept for the re-entry seeding below.
+    closure = [empty]
+    adjacency = [(empty, empty)]
+    if len(del_edges):
+        fa = (bases + del_edges[:, 0]).ravel()
+        fb = (bases + del_edges[:, 1]).ravel()
+        da = old[fa]
+        db = old[fb]
+        frontier = _unique(np.concatenate((fb[da + 1 == db], fa[db + 1 == da])))
+        done = 0
+        while frontier.size:
+            positions, _, nbrs = _gather_flat(dyn, frontier, cap)
+            closure.append(frontier)
+            adjacency.append((positions + done, nbrs))
+            done += frontier.size
+            children = nbrs[old[nbrs] == old[frontier][positions] + 1]
+            old[frontier] = unreachable
+            frontier = _unique(children)
+            # A vertex already in the closure reads UNREACH now.
+            frontier = frontier[old[frontier] != unreachable]
+    closure = np.concatenate(closure)
 
-    # Stage 2: seeds.  Bucket value = (scalar candidates, array
-    # candidates), exactly as in csr_find_affected.
-    buckets: dict[int, tuple[list[int], list]] = {}
-    for ai, bi in ins_edges:
-        da = old_mv[ai]
-        db = old_mv[bi]
-        if not del_mv[ai] and da != unreachable:
-            cand = da + 1
-            if del_mv[bi] or cand <= db:
-                buckets.setdefault(cand, ([], []))[0].append(bi)
-        if not del_mv[bi] and db != unreachable:
-            cand = db + 1
-            if del_mv[ai] or cand <= da:
-                buckets.setdefault(cand, ([], []))[0].append(ai)
-    for v in affected:
-        best = -1
-        start = indptr[v]
-        for w in indices[start : start + base_len[v]]:
-            if not del_mv[w]:
-                dw = old_mv[w]
-                if dw != unreachable and (best < 0 or dw + 1 < best):
-                    best = dw + 1
-        if delta_count[v]:
-            for w in delta[v]:
-                if not del_mv[w]:
-                    dw = old_mv[w]
-                    if dw != unreachable and (best < 0 or dw + 1 < best):
-                        best = dw + 1
-        if best >= 0:
-            buckets.setdefault(best, ([], []))[0].append(v)
+    # Stage 2: seeds, as (flat id, candidate depth) arrays.
+    seeds = [empty]
+    depths = [empty]
+    if len(ins_edges):
+        fa = (bases + ins_edges[:, 0]).ravel()
+        fb = (bases + ins_edges[:, 1]).ravel()
+        da = old[fa]
+        db = old[fb]
+        for root, d_anchor, d_root in ((fb, da, db), (fa, db, da)):
+            ok = (d_anchor != unreachable) & (d_anchor < d_root)
+            seeds.append(root[ok])
+            depths.append(d_anchor[ok] + 1)
+    if closure.size:
+        # Cheapest re-entry per closure vertex; closure neighbours read
+        # UNREACH and never win.
+        best = np.full(closure.size, unreachable, dtype=old.dtype)
+        np.minimum.at(
+            best,
+            np.concatenate([p for p, _ in adjacency]),
+            old[np.concatenate([n for _, n in adjacency])],
+        )
+        found = best != unreachable
+        seeds.append(closure[found])
+        depths.append(best[found] + 1)
+    seeds = np.concatenate(seeds)
+    depths = np.concatenate(depths)
+    buckets: dict[int, list] = {
+        depth: [seeds[depths == depth]] for depth in _unique(depths).tolist()
+    }
 
-    # Stage 3: unified monotone bucket-queue BFS.
-    levels: list[tuple[int, object]] = []
+    # Stage 3: unified monotone bucket-queue BFS over flat ids.
+    levels: list[SettledLevel] = []
     while buckets:
         depth = min(buckets)
-        ints, arrays = buckets.pop(depth)
-        size = len(ints)
-        for a in arrays:
-            size += len(a)
-        if size <= _SCALAR_CUTOFF:
-            for a in arrays:
-                ints.extend(a.tolist())
-            settled: list[int] = []
-            for v in ints:
-                if new_mv[v] < 0 and (del_mv[v] or old_mv[v] >= depth):
-                    new_mv[v] = depth
-                    settled.append(v)
-            if not settled:
-                continue
-            settled.sort()
-            levels.append((depth, settled))
-            next_depth = depth + 1
-            pushed = []
-            for v in settled:
-                start = indptr[v]
-                for w in indices[start : start + base_len[v]]:
-                    if new_mv[w] < 0 and (del_mv[w] or old_mv[w] >= next_depth):
-                        pushed.append(w)
-                if delta_count[v]:
-                    for w in delta[v]:
-                        if new_mv[w] < 0 and (
-                            del_mv[w] or old_mv[w] >= next_depth
-                        ):
-                            pushed.append(w)
-            if pushed:
-                bucket = buckets.get(next_depth)
-                if bucket is None:
-                    buckets[next_depth] = (pushed, [])
-                else:
-                    bucket[0].extend(pushed)
-            continue
-        if ints:
-            arrays.append(np.array(ints, dtype=np.int64))
-        cand = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-        cand = cand[
-            (new_dist[cand] < 0)
-            & ((del_mask[cand] != 0) | (old_dist[cand] >= depth))
-        ]
+        parts = buckets.pop(depth)
+        cand = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        cand = cand[old[cand] >= depth]
         if cand.size == 0:
             continue
-        level = np.unique(cand)
-        new_dist[level] = depth
-        levels.append((depth, level))
-        neighbours = dyn.gather_neighbours(level)
-        if neighbours.size:
-            neighbours = neighbours[
-                (new_dist[neighbours] < 0)
-                & (
-                    (del_mask[neighbours] != 0)
-                    | (old_dist[neighbours] >= depth + 1)
-                )
-            ]
-            if neighbours.size:
-                bucket = buckets.get(depth + 1)
-                if bucket is None:
-                    buckets[depth + 1] = ([], [neighbours])
-                else:
-                    bucket[1].append(neighbours)
+        level = _unique(cand)
+        old[level] = depth
+        new[level] = depth
+        positions, verts, nbrs = _gather_flat(dyn, level, cap)
+        levels.append(SettledLevel(depth, level, positions, verts, nbrs))
+        nbrs = nbrs[old[nbrs] > depth]
+        if nbrs.size:
+            buckets.setdefault(depth + 1, []).append(nbrs)
 
-    removed = [v for v in affected if new_mv[v] < 0]
-    removed.sort()
-    for v in affected:
-        del_mv[v] = 0
-    return levels, removed
+    return levels, np.sort(closure[new[closure] < 0])
 
 
 def csr_repair_affected(
@@ -700,69 +677,159 @@ def csr_repair_affected(
 def csr_batch_repair_mixed(
     dyn,
     labelling,
-    r,
+    landmarks,
     levels,
     removed,
-    old_dist,
-    new_dist,
-    is_landmark,
+    dist,
+    new_depth,
     covered,
+    is_landmark,
     has_entry,
-    stats=None,
-    views=None,
+    stats,
 ):
-    """Phase C for one landmark of a mixed batch: disconnect, then repair.
+    """Phase C of a mixed batch for every landmark: disconnect, then repair.
 
-    ``levels``/``removed`` come from :func:`csr_find_affected_mixed`.
-    Vertices the batch disconnected from ``r`` lose their entry (or, for
-    landmarks, their highway pair) outright — mirroring
-    :func:`repro.core.dechl.repair_affected_deletion` — and their dense
-    old-distance slot is set to :data:`~repro.graph.dyncsr.UNREACH`
-    *before* the level sweep, so the parent predicate can never read a
-    stale finite distance for them.  (They also can never neighbour a
-    settled vertex — a neighbour of a reachable vertex is reachable — so
-    this is belt and braces.)  The level sweep itself is exactly
-    :func:`csr_repair_affected`: deletions flip cover verdicts in either
-    direction, but the parent predicate re-derives them from scratch
-    anyway.
+    ``levels``/``removed`` are the flat-id results of
+    :func:`csr_find_affected_mixed` over the ``rows x cap`` blocks
+    ``dist`` (post-batch distances), ``new_depth`` (new depth at every
+    settled pair, ``-1`` elsewhere) and ``has_entry`` (the dense
+    label-membership rows); ``landmarks[k]`` owns row ``k``.
+    ``covered`` is a zeroed uint8 block of the same shape; the covered
+    flags of settled pairs are left in it (and ``new_depth`` populated)
+    for the caller to reset.
+
+    The *covered* predicate of Lemma 4.6 is evaluated for all pairs of a
+    depth in one pass: an affected parent at ``depth - 1`` contributes
+    its just-computed flag; an unaffected parent at old distance
+    ``depth - 1`` covers iff it is a landmark or lacks an entry of the
+    row's landmark.  The root (old distance 0, the only unaffected
+    depth-0 parent) never covers: a shortest path whose only landmark is
+    ``r`` is exactly what an ``r``-entry witnesses.  A settled
+    non-landmark without a parent raises
+    :class:`~repro.exceptions.InvariantViolationError`.
+
+    Mutations follow once every verdict is known, landmark by landmark
+    in ascending row order, so label rows, highway cells and every
+    counter come out as a per-landmark loop would leave them:
+    disconnected pairs lose their entry (or, for landmarks, their highway
+    pair — mirroring :func:`repro.core.dechl.repair_affected_deletion`),
+    covered pairs lose their entry, uncovered ones gain or update it, and
+    a landmark settled at ``depth`` fixes its highway cell.  A cell two
+    landmarks both reach is set (and counted) by the first only.
     """
-    from repro.graph.dyncsr import UNREACH
+    import numpy as np
 
-    if removed:
-        labels = labelling.labels
-        highway = labelling.highway
-        ids = dyn.ids
-        unreachable = int(UNREACH)
-        if views is None:
-            old_mv = memoryview(old_dist)
-            landmark_mv = memoryview(is_landmark)
-            has_mv = memoryview(has_entry)
-        else:
-            old_mv, _, landmark_mv, _, has_mv = views
-        for v in removed:
+    from repro.exceptions import InvariantViolationError
+
+    rows, cap = dist.shape
+    dist_flat = dist.reshape(-1)
+    new = new_depth.reshape(-1)
+    cov = covered.reshape(-1)
+    has = has_entry.reshape(-1)
+    ids = dyn.ids
+    labels = labelling.labels
+    highway = labelling.highway
+
+    # Label writes (flat ids, depth, set or remove) and highway cells
+    # (flat ids, depth; 0 = disconnected) in evaluation order; sorted per
+    # landmark below.
+    empty = np.empty(0, dtype=np.int64)
+    entry_flat = [empty]
+    entry_depth = [empty]
+    entry_set = [np.empty(0, dtype=bool)]
+    cell_flat = []
+    cell_depth = []
+    if removed.size:
+        lm = is_landmark[removed % cap]
+        cell_flat.append(removed[lm])
+        cell_depth.append(np.zeros(int(lm.sum()), dtype=np.int64))
+        lost = removed[~lm]
+        lost = lost[has[lost] != 0]
+        entry_flat.append(lost)
+        entry_depth.append(np.zeros(lost.size, dtype=np.int64))
+        entry_set.append(np.zeros(lost.size, dtype=bool))
+    for depth, level, positions, nbr_verts, nbrs in levels:
+        lm = is_landmark[level % cap]
+        if lm.any():
+            landmark_level = level[lm]
+            cell_flat.append(landmark_level)
+            cell_depth.append(np.full(landmark_level.size, depth, dtype=np.int64))
+        # The predicate runs over the whole level; landmarks' verdicts are
+        # dropped (a landmark always covers its descendants).  The rows
+        # already hold every settled pair's new depth, so one test finds
+        # the shortest-path parents, affected or not.
+        parent_depth = depth - 1
+        parent = dist_flat[nbrs] == parent_depth
+        parent_pos = positions[parent]
+        has_parent = lm.copy()
+        has_parent[parent_pos] = True
+        if not has_parent.all():
+            k, v = divmod(int(level[~has_parent][0]), cap)
+            raise InvariantViolationError(
+                f"affected vertex {int(ids[v])} at new depth {depth} "
+                f"(landmark {landmarks[k]}) has no shortest-path parent — "
+                f"labelling out of sync with graph"
+            )
+        is_covered = lm.copy()
+        if parent_depth:
+            parent_nbrs = nbrs[parent]
+            contrib = np.where(
+                new[parent_nbrs] >= 0,
+                cov[parent_nbrs] != 0,
+                is_landmark[nbr_verts[parent]] | (has[parent_nbrs] == 0),
+            )
+            is_covered[parent_pos[contrib]] = True
+        cov[level[is_covered]] = 1
+        # Uncovered pairs gain or update their entry; covered ones lose it
+        # if they have one.
+        touched = ~lm & (~is_covered | (has[level] != 0))
+        entry_flat.append(level[touched])
+        entry_depth.append(np.full(int(touched.sum()), depth, dtype=np.int64))
+        entry_set.append(~is_covered[touched])
+
+    if cell_flat:
+        flat = np.concatenate(cell_flat)
+        depth = np.concatenate(cell_depth)
+        order = np.argsort(flat // cap, kind="stable")
+        for f, d in zip(flat[order].tolist(), depth[order].tolist()):
+            k, v = divmod(f, cap)
+            r = landmarks[k]
             vid = int(ids[v])
-            old_mv[v] = unreachable
-            if landmark_mv[v]:
-                if highway.remove_distance(r, vid) and stats is not None:
+            if d == 0:
+                if highway.remove_distance(r, vid):
                     stats.highway_updates += 1
-            elif has_mv[v]:
-                labels.remove_entry(vid, r)
-                has_mv[v] = 0
-                if stats is not None:
-                    stats.entries_removed += 1
-    csr_repair_affected(
-        dyn,
-        labelling,
-        r,
-        levels,
-        old_dist,
-        new_dist,
-        is_landmark,
-        covered,
-        has_entry,
-        stats,
-        views=views,
-    )
+            elif highway.distance(r, vid) != d:
+                highway.set_distance(r, vid, d)
+                stats.highway_updates += 1
+
+    flat = np.concatenate(entry_flat)
+    if flat.size:
+        depth = np.concatenate(entry_depth)
+        to_set = np.concatenate(entry_set)
+        # One run per (landmark, depth, verdict), covered before uncovered
+        # within a depth, as the per-landmark repair issued them.
+        span = 2 * (int(depth.max()) + 1)
+        key = (flat // cap) * span + depth * 2 + to_set
+        order = np.argsort(key, kind="stable")
+        flat, key, depth, to_set = flat[order], key[order], depth[order], to_set[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        ends = np.append(starts[1:], key.size)
+        vertex_ids = ids[flat % cap].tolist()
+        for start, end, k, d, put in zip(
+            starts.tolist(),
+            ends.tolist(),
+            (key[starts] // span).tolist(),
+            depth[starts].tolist(),
+            to_set[starts].tolist(),
+        ):
+            run = vertex_ids[start:end]
+            if put:
+                added, modified = labels.bulk_set(landmarks[k], run, d)
+                stats.entries_added += added
+                stats.entries_modified += modified
+            else:
+                stats.entries_removed += labels.bulk_remove(landmarks[k], run)
+        has[flat] = to_set
 
 
 # ---------------------------------------------------------------------------
@@ -805,32 +872,29 @@ def batch_find_task(state, item):
     return find_affected_batch(graph, labelling, r, seeds)
 
 
-def csr_batch_sweep(state, item):
-    """Engine task for the fast batch-insertion Phase B: one kernel find.
+def csr_find_group_task(state, item):
+    """Engine task for the mixed-batch find: one sweep over a landmark group.
 
-    ``state`` is ``(dyn, dist)`` — the post-insertion :class:`DynCSR` and
-    the dense per-landmark distance matrix, shared with workers via fork
-    inheritance; the work item is ``(k, seeds)`` with ``k`` the landmark's
-    row index and ``seeds`` as taken by :func:`csr_find_affected`.
-    Returns ``(k, levels)``; the levels arrays pickle compactly, and the
-    caller repairs and folds them in landmark order so serial and parallel
-    runs stay byte-identical.
+    ``state`` is ``(dyn, dist, new_depth)`` — the post-batch
+    :class:`DynCSR`, the dense ``rows x cap`` distance matrix and the
+    new-depth scratch of the same shape, shared with workers via fork
+    inheritance; the work item is ``(lo, hi, ins_edges, del_edges)``:
+    the contiguous row range ``[lo, hi)`` and the batch as taken by
+    :func:`csr_find_affected_mixed`.  Returns ``(levels, removed)`` with
+    flat ids of the whole matrix.  In-process the sweep updates the
+    shared rows and scratch directly; a worker's writes stay in its own
+    copy, so the caller scatters pooled results back before repairing.
     """
-    dyn, dist = state
-    k, seeds = item
-    return k, csr_find_affected(dyn, dist[k], seeds)
-
-
-def csr_mixed_sweep(state, item):
-    """Engine task for the mixed-batch Phase B: one unified find.
-
-    ``state`` is ``(dyn, dist)`` as in :func:`csr_batch_sweep`; the work
-    item is ``(k, ins_edges, del_seeds)`` as taken by
-    :func:`csr_find_affected_mixed`.  Returns ``(k, levels, removed)``;
-    the caller repairs in landmark order (:func:`csr_batch_repair_mixed`)
-    so serial and parallel runs stay byte-identical.
-    """
-    dyn, dist = state
-    k, ins_edges, del_seeds = item
-    levels, removed = csr_find_affected_mixed(dyn, dist[k], ins_edges, del_seeds)
-    return k, levels, removed
+    dyn, dist, new_depth = state
+    lo, hi, ins_edges, del_edges = item
+    levels, removed = csr_find_affected_mixed(
+        dyn, dist[lo:hi], ins_edges, del_edges, new_depth[lo:hi]
+    )
+    offset = lo * dist.shape[1]
+    if offset:
+        levels = [
+            level._replace(flat=level.flat + offset, nbrs=level.nbrs + offset)
+            for level in levels
+        ]
+        removed = removed + offset
+    return levels, removed

@@ -47,6 +47,20 @@ class TestAttribution:
 
         assert set(PHASE_MARKERS.values()) <= set(PHASE_NAMES)
 
+    def test_every_marker_names_a_function_in_repro(self):
+        # A renamed kernel must not fall silently into "other".
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        defined = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined.add(node.name)
+        assert set(PHASE_MARKERS) - defined == set()
+
     def test_attribute_folded_round_trips_phase_table(self):
         prof = SamplingProfiler(interval_ms=1.0)
         prof.add_sample(("m._apply_chunk", "m.csr_repair_affected"), 3)
